@@ -153,11 +153,7 @@ class AdmissionUnit:
     The unit carries the task set verbatim — ``tasks`` is a tuple of
     ``(name, wcet_ns, period_ns, deadline_ns, wss_bytes)`` tuples — so
     its fingerprint is a content hash of the *query*, which is what the
-    service's cache-only degradation tier answers from.  Execution mode
-    (vectorized batch vs scalar incremental) is deliberately **not**
-    part of the unit: both engines return bit-identical verdicts (the
-    batch-vs-scratch differential pair enforces this), so a payload
-    cached by either mode answers for both.
+    service's cache-only degradation tier answers from.
     """
 
     tasks: Tuple[Tuple[str, int, int, int, int], ...]
@@ -330,33 +326,11 @@ def admission_taskset(unit: AdmissionUnit):
     return TaskSet(tasks).assign_rate_monotonic()
 
 
-def execute_admission(unit: AdmissionUnit, mode: str = "scalar") -> dict:
-    """Answer one admission query; payload is mode-independent.
+def execute_admission(unit: AdmissionUnit) -> dict:
+    """Answer one admission query with the scalar incremental analysis."""
+    from repro.experiments.algorithms import accept
 
-    ``mode="batch"`` routes batchable algorithms through the vectorized
-    kernels of :mod:`repro.analysis.batch` (a one-lane population);
-    ``mode="scalar"`` uses the incremental per-core contexts.  Verdicts
-    are bit-identical either way, so the payload carries no mode marker
-    and a cache entry written by one mode answers queries served by the
-    other.
-    """
-    from repro.experiments.algorithms import accept, accept_populations
-
-    if mode not in ("batch", "scalar"):
-        raise ValueError(f"unknown admission mode {mode!r}")
     taskset = admission_taskset(unit)
-    if mode == "batch":
-        from repro.analysis.batch import TaskSetPopulation
-
-        population = TaskSetPopulation.from_tasksets([taskset])
-        verdicts = accept_populations(
-            list(unit.algorithms), population, unit.n_cores, unit.overheads
-        )
-        return {
-            "verdicts": {
-                name: bool(verdicts[name][0]) for name in unit.algorithms
-            }
-        }
     return {
         "verdicts": {
             name: bool(accept(name, taskset, unit.n_cores, unit.overheads))

@@ -9,7 +9,7 @@ jobs.  The load-bearing part is the resilience core:
 * :mod:`repro.service.resilience` — token-bucket load shedding, a
   bounded admission queue, per-request deadline budgets, per-shard
   circuit breakers, and the explicit degradation ladder
-  (batch → scalar → cache-only → shed);
+  (scalar → cache-only → shed);
 * :mod:`repro.service.shards` — the supervised worker-shard pool,
   routed by unit fingerprints;
 * :mod:`repro.service.jobs` — journal-resumable campaign jobs (crash

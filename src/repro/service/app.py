@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Optional, Tuple
@@ -251,7 +252,11 @@ class ServiceApp:
         taskset = taskset_from_dict({"tasks": data["tasks"]})
         if len(taskset) == 0:
             raise ValueError("'tasks' must be non-empty")
-        n_cores = int(data.get("cores", 4))
+        n_cores = data.get("cores", 4)
+        if isinstance(n_cores, float) and n_cores.is_integer():
+            n_cores = int(n_cores)
+        if isinstance(n_cores, bool) or not isinstance(n_cores, int):
+            raise ValueError(f"'cores' must be an integer, got {n_cores!r}")
         if n_cores < 1:
             raise ValueError("'cores' must be at least 1")
         algorithms = tuple(data.get("algorithms", ("FP-TS", "FFD", "WFD")))
@@ -265,11 +270,14 @@ class ServiceApp:
             str(data.get("overheads", "zero")),
             max(1, len(taskset) // n_cores),
         )
-        deadline_s = float(
-            data.get("deadline_ms", self.config.deadline_s * 1000)
-        ) / 1000.0
-        if deadline_s <= 0:
-            raise ValueError("'deadline_ms' must be positive")
+        try:
+            deadline_s = float(
+                data.get("deadline_ms", self.config.deadline_s * 1000)
+            ) / 1000.0
+        except (TypeError, ValueError, OverflowError):
+            deadline_s = math.nan
+        if not math.isfinite(deadline_s) or deadline_s <= 0:
+            raise ValueError("'deadline_ms' must be positive and finite")
         unit = AdmissionUnit(
             tasks=tuple(
                 (task.name, task.wcet, task.period, task.deadline, task.wss)
@@ -304,66 +312,55 @@ class ServiceApp:
         """Walk the ladder from its current rung until a rung answers."""
         fingerprint = unit_fingerprint(unit)
         shard_index = self.pool.route(fingerprint)
-        level = mode_index(self.ladder.mode)
-        entry_level = level
+        cache_level = mode_index("cache")
+        # A quiet ladder climbs back before the request picks its rung.
+        self.ladder.recover()
+        level = entry_level = mode_index(self.ladder.mode)
         # An open breaker on the routed shard degrades this request to
         # the cache rung without consuming the ladder's global state.
-        if level < 2 and not self.pool.allow(shard_index):
-            level = 2
+        if level < cache_level and not self.pool.allow(shard_index):
+            level = cache_level
             self.ladder.count_downgrade("cache", "breaker")
-
-        from repro.analysis.batch import PopulationError
 
         while True:
             mode = MODES[level]
-            if budget.expired() and mode in ("batch", "scalar"):
-                # No time left to compute; drop to the cache rung.
-                self.ladder.count_downgrade("cache", "deadline")
-                level = 2
-                continue
             if mode == "shed":
                 return self._shed(503, "ladder", 1.0)
             if mode == "cache":
                 payload = self.cache.load(fingerprint)
                 if payload is not None and "verdicts" in payload:
                     self.metrics.counter("svc_cache_answers_total").inc()
-                    return self._verdict_response(
-                        unit, payload, degraded="cache" if entry_level < 2
-                        else None,
-                    )
+                    degraded = "cache" if entry_level < level else None
+                    return self._verdict_response(unit, payload, degraded)
                 retry_after = max(1.0, self.pool.retry_after(shard_index))
                 return self._shed(503, "cache-miss", retry_after)
-            # Compute rungs: batch or scalar, on the routed shard.
+            if budget.expired():
+                # No time left to compute; drop to the cache rung.
+                self.ladder.count_downgrade("cache", "deadline")
+                level = cache_level
+                continue
+            # The compute rung: scalar analysis on the routed shard.
             try:
-                if mode == "batch" and self.chaos is not None:
-                    self.chaos.before_batch()
                 payload = await self.pool.run(
                     shard_index,
-                    lambda: execute_admission(unit, mode),
+                    lambda: execute_admission(unit),
                     timeout=budget.sub_timeout(),
-                    kind=f"admission:{mode}",
+                    kind="admission:scalar",
                 )
-            except PopulationError:
-                self.ladder.report_failure("batch")
-                self.ladder.count_downgrade("scalar", "batch-error")
-                level = max(level, 1)
-                continue
             except DeadlineExceeded:
                 self.ladder.report_failure("deadline")
                 self.ladder.count_downgrade("cache", "deadline")
-                level = 2
+                level = cache_level
                 continue
             except Exception:
                 # ShardKilled or a genuine analysis crash: breaker has
                 # been fed by the pool; step one rung down.
                 self.ladder.report_failure("shard")
-                level = min(level + 1, len(MODES) - 1)
+                level += 1
                 self.ladder.count_downgrade(MODES[level], "shard-failure")
                 continue
             self.cache.store(fingerprint, payload)
-            self.ladder.report_success()
-            degraded = mode if level > entry_level else None
-            return self._verdict_response(unit, payload, degraded=degraded)
+            return self._verdict_response(unit, payload)
 
     def _verdict_response(
         self,

@@ -14,9 +14,6 @@ counters, decides when to
 * **corrupt a cache entry** — overwrite the content-addressed payload
   with garbage, as a torn write or disk fault would (the cache must
   quarantine it and report a miss, never return it);
-* **fail the batch kernel** — raise
-  :class:`~repro.analysis.batch.PopulationError` from the batch rung,
-  driving the ladder's batch → scalar downgrade;
 * **skew the clock** — make the deadline clock *drift*: every reading
   lands ``clock_skew_s`` further ahead of the true clock, so budgets
   expire "early" the way they do on a host whose timers misbehave.
@@ -31,10 +28,8 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Optional
-
-from repro.analysis.batch import PopulationError
 
 
 class ShardKilled(RuntimeError):
@@ -45,10 +40,10 @@ class ShardKilled(RuntimeError):
 class ChaosConfig:
     """What to inject, and how often.
 
-    Count-based knobs (``kill_first_n``, ``slow_first_n``,
-    ``fail_batch_first_n``) fire on the first N visits to their site —
-    the sharpest tool for pinning exact ladder walks.  Probability knobs
-    (``kill_probability`` ...) draw from the seeded per-site stream.
+    Count-based knobs (``kill_first_n``, ``slow_first_n``) fire on the
+    first N visits to their site — the sharpest tool for pinning exact
+    ladder walks.  Probability knobs (``kill_probability`` ...) draw
+    from the seeded per-site stream.
     """
 
     seed: int = 0
@@ -59,9 +54,6 @@ class ChaosConfig:
     slow_first_n: int = 0
     slow_probability: float = 0.0
     slow_s: float = 0.0
-    # batch-kernel failures (site: "batch")
-    fail_batch_first_n: int = 0
-    fail_batch_probability: float = 0.0
     # deadline-clock drift: every reading lands this many further
     # seconds ahead of the true clock (a constant offset would cancel
     # inside a budget that both starts and checks on the same clock)
@@ -115,17 +107,6 @@ class ChaosController:
         ):
             self._fire("slow")
             time.sleep(cfg.slow_s)
-
-    def before_batch(self) -> None:
-        """Called before the batch rung runs; may raise PopulationError."""
-        cfg = self.config
-        visit = self._visit("batch")
-        if visit < cfg.fail_batch_first_n or (
-            cfg.fail_batch_probability > 0
-            and self._draw("batch", visit) < cfg.fail_batch_probability
-        ):
-            self._fire("fail_batch")
-            raise PopulationError("chaos: batch kernel refused the lane")
 
     def skew_clock(
         self, clock: Callable[[], float]

@@ -20,10 +20,10 @@ so the chaos suite can pin exact schedules:
   exponential backoff, so a crashing shard stops receiving traffic
   until a probe proves it healthy again.
 * :class:`DegradationLadder` — the explicit quality-of-service ladder:
-  ``batch`` (vectorized kernels) → ``scalar`` (incremental contexts) →
-  ``cache`` (answer warm queries only) → ``shed``.  Every downgrade is
-  counted in the metrics registry, so ``/metrics`` shows exactly how
-  much quality was traded for survival.
+  ``scalar`` (incremental contexts) → ``cache`` (answer warm queries
+  only) → ``shed``.  Every downgrade is counted in the metrics
+  registry, so ``/metrics`` shows exactly how much quality was traded
+  for survival.
 
 None of these classes knows about HTTP or asyncio; they are plain
 synchronous state machines driven by the service layer (and, in tests,
@@ -39,9 +39,9 @@ from repro.metrics.registry import MetricsRegistry, active as _metrics_active
 
 Clock = Callable[[], float]
 
-#: The ladder's rungs, best first.  ``mode_at_most`` clamps toward the
-#: degraded end; the service walks left to right when rungs fail.
-MODES: Tuple[str, ...] = ("batch", "scalar", "cache", "shed")
+#: The ladder's rungs, best first; the service walks left to right when
+#: rungs fail.
+MODES: Tuple[str, ...] = ("scalar", "cache", "shed")
 
 
 def mode_index(mode: str) -> int:
@@ -279,16 +279,18 @@ class CircuitBreaker:
 
 
 class DegradationLadder:
-    """The service-wide quality level: ``batch → scalar → cache → shed``.
+    """The service-wide quality level: ``scalar → cache → shed``.
 
     The ladder holds the *starting* rung for new requests.  Failures
     (``report_failure``) push it one rung toward ``shed`` once
-    ``trip_threshold`` of them accumulate at the current rung; sustained
-    success (``recovery_s`` seconds without a failure, observed by
-    ``report_success``) climbs one rung back toward ``batch``.  Every
-    move is counted: ``svc_degraded_total{to=...}`` going down,
+    ``trip_threshold`` of them accumulate at the current rung; a quiet
+    window (``recovery_s`` seconds without a failure, checked by
+    :meth:`recover` as each request arrives) climbs one rung back toward
+    ``scalar``.  The climb cannot wait for a compute success: a ladder
+    resting on the cache rung never computes.  Every move is counted:
+    ``svc_degraded_total{to=...}`` going down,
     ``svc_recovered_total{to=...}`` going up, and the current rung is
-    exported as the ``svc_ladder_level`` gauge (0 = batch ... 3 = shed).
+    exported as the ``svc_ladder_level`` gauge (0 = scalar ... 2 = shed).
 
     Requests may additionally be degraded *individually* below the
     ladder's rung (open breaker on the routed shard, expired deadline);
@@ -344,8 +346,8 @@ class DegradationLadder:
             self.count_downgrade(MODES[self._level], reason)
             self._export_level()
 
-    def report_success(self) -> None:
-        """A request succeeded; climb after a quiet recovery window."""
+    def recover(self) -> None:
+        """Climb one rung if no rung failed for ``recovery_s`` seconds."""
         if (
             self._level > 0
             and self.clock() - self._last_failure >= self.recovery_s
@@ -359,7 +361,11 @@ class DegradationLadder:
             self._export_level()
 
     def force(self, mode: str) -> None:
-        """Pin the ladder at ``mode`` (tests and operational override)."""
+        """Move the ladder to ``mode`` (tests and operational override).
+
+        The rung holds for one recovery window, as after any step down.
+        """
         self._level = mode_index(mode)
         self._failures_at_level = 0
+        self._last_failure = self.clock()
         self._export_level()

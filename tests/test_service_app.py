@@ -2,8 +2,8 @@
 
 ``ServiceApp.handle()`` is a pure async function from (method, path,
 body) to a response triple, so almost everything here runs without a
-socket: verdict correctness (batch rung ≡ scalar rung ≡ the library's
-own ``accept``), input validation, rate/queue shedding with honest
+socket: verdict correctness (the service ≡ the library's own
+``accept``, never via the batch kernel), input validation, rate/queue shedding with honest
 ``Retry-After``, the campaign job lifecycle, and the journal-backed
 restart-resume bit-identity guarantee.  One test boots the real
 asyncio socket server on an ephemeral port and speaks actual HTTP/1.1.
@@ -13,13 +13,16 @@ from __future__ import annotations
 
 import asyncio
 import json
+import random
 import shutil
 
 import pytest
 
 from repro.experiments.algorithms import accept
 from repro.metrics.registry import MetricsRegistry
-from repro.model.io import taskset_from_dict
+from repro.model.generator import TaskSetGenerator
+from repro.model.io import taskset_from_dict, taskset_to_dict
+from repro.overhead.model import OverheadModel
 from repro.service.app import ServiceApp, ServiceConfig
 from repro.service.jobs import JobSpec
 
@@ -88,22 +91,70 @@ class TestAdmission:
 
         asyncio.run(run())
 
-    def test_batch_rung_equals_scalar_rung(self, tmp_path):
+    def test_seeded_paper_stream_matches_the_library(self, tmp_path):
+        generator = TaskSetGenerator(n_tasks=12, seed=5)
+        spread = random.Random(5)
+        algorithms = ["FP-TS", "FFD", "WFD"]
+        model = OverheadModel.paper_core_i7(3)
+        seen = set()
+
         async def run():
-            batch_app = make_app(tmp_path, name="batch")
-            scalar_app = make_app(tmp_path, name="scalar")
-            scalar_app.ladder.force("scalar")
-            body = admission_body(algorithms=["FFD", "WFD", "P-EDF"])
-            _, _, batch_doc = await call(
-                batch_app, "POST", "/v1/admission", body
-            )
-            status, _, scalar_doc = await call(
-                scalar_app, "POST", "/v1/admission", body
+            app = make_app(tmp_path)
+            for _ in range(12):
+                taskset = generator.generate(
+                    (0.6 + 0.4 * spread.random()) * 4
+                )
+                tasks = taskset_to_dict(taskset)["tasks"]
+                status, _, doc = await call(
+                    app,
+                    "POST",
+                    "/v1/admission",
+                    admission_body(
+                        tasks=tasks,
+                        cores=4,
+                        algorithms=algorithms,
+                        overheads="paper",
+                    ),
+                )
+                assert status == 200
+                assert "degraded" not in doc
+                served = taskset_from_dict(
+                    {"tasks": tasks}
+                ).assign_rate_monotonic()
+                for name in algorithms:
+                    expected = accept(name, served, 4, model)
+                    assert doc["verdicts"][name] == expected
+                    seen.add(expected)
+            await app.shutdown()
+
+        asyncio.run(run())
+        assert seen == {True, False}  # the stream exercises both verdicts
+
+    def test_admission_never_calls_the_batch_kernel(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.experiments import algorithms
+
+        taskset = taskset_from_dict({"tasks": TASKS}).assign_rate_monotonic()
+        names = ["FP-TS", "FFD", "WFD", "P-EDF"]
+        truth = {name: accept(name, taskset, 2) for name in names}
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("admission reached the batch kernel")
+
+        monkeypatch.setattr(
+            algorithms, "batch_partition_accept_multi", refuse
+        )
+
+        async def run():
+            app = make_app(tmp_path)
+            status, _, doc = await call(
+                app, "POST", "/v1/admission", admission_body(algorithms=names)
             )
             assert status == 200
-            assert batch_doc["verdicts"] == scalar_doc["verdicts"]
-            await batch_app.shutdown()
-            await scalar_app.shutdown()
+            assert doc["verdicts"] == truth
+            assert "degraded" not in doc
+            await app.shutdown()
 
         asyncio.run(run())
 
@@ -156,6 +207,33 @@ class TestAdmission:
             )
             assert status == 400
             assert fragment in json.loads(raw)["error"]
+            await app.shutdown()
+
+        asyncio.run(run())
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("deadline_ms", float("nan")),
+            ("deadline_ms", float("inf")),
+            ("cores", 2.9),
+            ("cores", True),
+        ],
+        ids=["deadline-nan", "deadline-inf", "cores-fraction", "cores-bool"],
+    )
+    def test_non_finite_deadline_and_non_integral_cores_get_400(
+        self, tmp_path, field, value
+    ):
+        async def run():
+            app = make_app(tmp_path)
+            status, _, raw = await app.handle(
+                "POST",
+                "/v1/admission",
+                json.dumps(admission_body(**{field: value})).encode(),
+            )
+            assert status == 400
+            assert f"'{field}'" in json.loads(raw)["error"]
+            assert app.metrics.sum_of("svc_degraded_total") == 0
             await app.shutdown()
 
         asyncio.run(run())

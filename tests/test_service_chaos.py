@@ -87,17 +87,18 @@ def reference_verdicts(tmp_path):
 
 
 class TestKilledShards:
-    def test_one_kill_degrades_to_scalar_with_correct_verdicts(
+    def test_one_kill_degrades_to_cache_with_correct_verdicts(
         self, tmp_path
     ):
         truth = reference_verdicts(tmp_path)
         chaos = ChaosController(ChaosConfig(kill_first_n=1))
 
         async def run():
-            app = make_app(tmp_path, chaos=chaos)
+            # Same data dir as the reference run, so its cache is warm.
+            app = make_app(tmp_path, name="reference", chaos=chaos)
             status, _, doc = await admission(app, body())
             assert status == 200
-            assert doc["degraded"] == "scalar"
+            assert doc["degraded"] == "cache"
             assert doc["verdicts"] == truth  # degraded, never wrong
             assert chaos.injected == {"kill": 1}
             assert (
@@ -114,7 +115,7 @@ class TestKilledShards:
                     to="cache",
                     reason="shard-failure",
                 )
-                is None  # it only fell one rung
+                == 1  # it fell one rung
             )
             await app.shutdown()
 
@@ -127,10 +128,10 @@ class TestKilledShards:
             app = make_app(
                 tmp_path,
                 chaos=chaos,
-                breaker_threshold=2,
+                breaker_threshold=1,
                 ladder_trip_threshold=100,  # isolate breaker behaviour
             )
-            # Both compute rungs die; the breaker opens; the cold cache
+            # The compute rung dies; the breaker opens; the cold cache
             # cannot answer; the request is shed explicitly.
             status, headers, doc = await admission(app, body())
             assert status == 503
@@ -159,7 +160,7 @@ class TestKilledShards:
 
     def test_breaker_walks_open_half_open_closed(self, tmp_path):
         truth = reference_verdicts(tmp_path)
-        chaos = ChaosController(ChaosConfig(kill_first_n=2))
+        chaos = ChaosController(ChaosConfig(kill_first_n=1))
         clock = FakeClock()
 
         async def run():
@@ -171,8 +172,8 @@ class TestKilledShards:
                 breaker_reset_s=1.0,
                 ladder_trip_threshold=100,
             )
-            # Two kills on one request: trip open on the batch rung,
-            # fail again (still open) on the scalar rung, shed.
+            # One kill trips the breaker open on the scalar rung; the
+            # cold cache cannot answer, so the request is shed.
             status, _, _ = await admission(app, body())
             assert status == 503
             breaker = app.pool.shards[0].breaker
@@ -261,7 +262,7 @@ class TestCorruptCache:
             assert quarantined.is_file()
             # Climbing back to a compute rung refills the slot, and the
             # recomputed verdicts match the pre-corruption answer.
-            app.ladder.force("batch")
+            app.ladder.force("scalar")
             status, _, doc = await admission(app, body())
             assert status == 200
             assert doc["verdicts"] == healthy["verdicts"]
@@ -314,28 +315,25 @@ class TestClockSkew:
 
 
 class TestFullLadderWalk:
-    def test_batch_scalar_cache_shed_in_one_request(self, tmp_path):
+    def test_scalar_cache_shed_in_one_request(self, tmp_path):
         truth = reference_verdicts(tmp_path)
-        chaos = ChaosController(
-            ChaosConfig(fail_batch_first_n=1, kill_first_n=1)
-        )
+        chaos = ChaosController(ChaosConfig(kill_first_n=1))
+        clock = FakeClock()
 
         async def run():
-            app = make_app(tmp_path, chaos=chaos)
-            # batch rung: PopulationError -> scalar rung: shard killed
-            # -> cache rung: cold miss -> shed.  One request, the whole
-            # ladder, and an explicit refusal at the bottom.
+            app = make_app(
+                tmp_path, chaos=chaos, clock=clock, ladder_trip_threshold=1
+            )
+            # scalar rung: shard killed -> cache rung: cold miss -> shed.
+            # One request, the whole ladder, and an explicit refusal at
+            # the bottom.
             status, _, doc = await admission(app, body())
             assert status == 503
             assert doc == {"error": "overloaded", "reason": "cache-miss"}
-            assert chaos.injected == {"fail_batch": 1, "kill": 1}
+            assert chaos.injected == {"kill": 1}
             text = await metrics_text(app)
             assert (
-                'svc_degraded_total{reason="batch-error",to="scalar"} 1'
-                in text
-            )
-            assert (
-                'svc_degraded_total{reason="shard",to="scalar"} 1'
+                'svc_degraded_total{reason="shard",to="cache"} 1'
                 in text
             )
             assert (
@@ -343,14 +341,16 @@ class TestFullLadderWalk:
                 in text
             )
             assert 'svc_shed_total{reason="cache-miss"} 1' in text
-            # Two rung failures tripped the service-wide ladder down to
-            # scalar; with chaos exhausted it serves correct verdicts
-            # from there.
-            assert app.ladder.mode == "scalar"
+            # The rung failure tripped the service-wide ladder down to
+            # cache; a quiet recovery window climbs it back to scalar,
+            # which (chaos exhausted) serves correct verdicts.
+            assert app.ladder.mode == "cache"
+            assert "svc_ladder_level 1" in text
+            clock.advance(app.config.ladder_recovery_s)
             status, _, doc = await admission(app, body())
             assert status == 200
             assert doc["verdicts"] == truth
-            assert "svc_ladder_level 1" in await metrics_text(app)
+            assert "svc_ladder_level 0" in await metrics_text(app)
             await app.shutdown()
 
         asyncio.run(run())

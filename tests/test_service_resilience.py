@@ -37,8 +37,8 @@ class FakeClock:
 
 
 def test_modes_and_mode_index():
-    assert MODES == ("batch", "scalar", "cache", "shed")
-    assert [mode_index(m) for m in MODES] == [0, 1, 2, 3]
+    assert MODES == ("scalar", "cache", "shed")
+    assert [mode_index(m) for m in MODES] == [0, 1, 2]
     with pytest.raises(ValueError, match="unknown degradation mode"):
         mode_index("turbo")
 
@@ -237,14 +237,14 @@ class TestDegradationLadder:
     def test_steps_down_after_trip_threshold(self):
         clock = FakeClock()
         ladder, registry = self.make(clock)
-        assert ladder.mode == "batch"
-        ladder.report_failure("batch")
-        assert ladder.mode == "batch"
-        ladder.report_failure("batch")
         assert ladder.mode == "scalar"
+        ladder.report_failure("shard")
+        assert ladder.mode == "scalar"
+        ladder.report_failure("shard")
+        assert ladder.mode == "cache"
         assert (
             registry.value(
-                "svc_degraded_total", to="scalar", reason="batch"
+                "svc_degraded_total", to="cache", reason="shard"
             )
             == 1
         )
@@ -253,32 +253,32 @@ class TestDegradationLadder:
     def test_walks_all_the_way_to_shed_and_stays(self):
         clock = FakeClock()
         ladder, registry = self.make(clock, trip_threshold=1)
-        for expected in ("scalar", "cache", "shed", "shed"):
+        for expected in ("cache", "shed", "shed"):
             ladder.report_failure("storm")
             assert ladder.mode == expected
-        assert registry.value("svc_ladder_level") == 3
+        assert registry.value("svc_ladder_level") == 2
 
     def test_recovers_after_quiet_window(self):
         clock = FakeClock()
         ladder, registry = self.make(clock, trip_threshold=1)
         ladder.report_failure("blip")
-        assert ladder.mode == "scalar"
-        ladder.report_success()  # too soon: failure was just now
-        assert ladder.mode == "scalar"
+        assert ladder.mode == "cache"
+        ladder.recover()  # too soon: failure was just now
+        assert ladder.mode == "cache"
         clock.advance(5.0)
-        ladder.report_success()
-        assert ladder.mode == "batch"
+        ladder.recover()
+        assert ladder.mode == "scalar"
         assert (
-            registry.value("svc_recovered_total", to="batch") == 1
+            registry.value("svc_recovered_total", to="scalar") == 1
         )
         assert registry.value("svc_ladder_level") == 0
-        ladder.report_success()  # already at the top rung
-        assert ladder.mode == "batch"
+        ladder.recover()  # already at the top rung
+        assert ladder.mode == "scalar"
 
     def test_count_downgrade_does_not_move_the_rung(self):
         ladder, registry = self.make(FakeClock())
         ladder.count_downgrade("cache", "breaker")
-        assert ladder.mode == "batch"
+        assert ladder.mode == "scalar"
         assert (
             registry.value(
                 "svc_degraded_total", to="cache", reason="breaker"
@@ -287,10 +287,17 @@ class TestDegradationLadder:
         )
 
     def test_force_pins_the_rung(self):
-        ladder, registry = self.make(FakeClock())
+        clock = FakeClock()
+        ladder, registry = self.make(clock)
         ladder.force("cache")
         assert ladder.mode == "cache"
-        assert registry.value("svc_ladder_level") == 2
+        assert registry.value("svc_ladder_level") == 1
+        # The forced rung holds for one recovery window, then climbs.
+        ladder.recover()
+        assert ladder.mode == "cache"
+        clock.advance(5.0)
+        ladder.recover()
+        assert ladder.mode == "scalar"
         with pytest.raises(ValueError):
             ladder.force("warp")
 
