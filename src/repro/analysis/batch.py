@@ -220,11 +220,14 @@ class TaskSetPopulation:
             names=tuple(names),
         )
 
-    def tasksets(self) -> List[TaskSet]:
+    def tasksets(
+        self, lanes: Optional[Sequence[int]] = None
+    ) -> List[TaskSet]:
         """Materialize scalar :class:`TaskSet` objects (priority order,
-        priorities 0..n-1) — the lane-wise fallback path."""
+        priorities 0..n-1) — the lane-wise fallback path.  ``lanes``
+        selects which rows to build, in that order (default: all)."""
         out = []
-        for row in range(self.n_sets):
+        for row in range(self.n_sets) if lanes is None else lanes:
             tasks = [
                 Task(
                     name=self.names[row][col],

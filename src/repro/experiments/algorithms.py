@@ -23,7 +23,6 @@ from repro.analysis.batch import (
     BatchStats,
     PopulationError,
     TaskSetPopulation,
-    batch_partition_accept,
     batch_partition_accept_multi,
 )
 from repro.analysis.global_bounds import (
@@ -301,8 +300,10 @@ def accept(
 
 
 #: Algorithms the batch layer can express: plain decreasing-utilization
-#: bin packing, mapped to (placement, admission).  Splitting algorithms
-#: (FP-TS, SPA*, PDMS, C=D) and the global tests stay scalar.
+#: bin packing, mapped to (placement, admission).  FP-TS is answered
+#: partly from the FFD row (see :func:`accept_populations`); the other
+#: splitting algorithms (SPA*, PDMS, C=D) and the global tests stay
+#: scalar.
 BATCH_ALGORITHMS: Dict[str, Tuple[str, str]] = {
     "FFD": ("first-fit", "rta"),
     "WFD": ("worst-fit", "rta"),
@@ -320,41 +321,12 @@ def accept_population(
     batch: bool = True,
     stats: Optional[BatchStats] = None,
 ) -> List[bool]:
-    """Accept/reject vector of ``algorithm`` over a whole population.
-
-    With ``batch=True`` the algorithms in :data:`BATCH_ALGORITHMS` run
-    through the struct-of-arrays kernels of
-    :mod:`repro.analysis.batch`; everything else — and any population
-    the batch layer cannot express (non-rate-monotonic priority order)
-    — falls back to the scalar incremental path one lane at a time.
-    Verdicts are bit-identical either way (the batch-vs-scratch
-    differential pair enforces this continuously).
-    """
-    if algorithm not in ALGORITHMS:
-        raise KeyError(
-            f"unknown algorithm {algorithm!r}; choose from "
-            f"{sorted(ALGORITHMS)}"
-        )
-    plan = BATCH_ALGORITHMS.get(algorithm) if batch else None
-    if plan is not None:
-        placement, admission = plan
-        try:
-            verdicts = batch_partition_accept(
-                population,
-                n_cores,
-                model=model,
-                placement=placement,
-                admission=admission,
-                stats=stats,
-            )
-            return [bool(v) for v in verdicts]
-        except PopulationError:
-            tracker = stats if stats is not None else BATCH_STATS
-            tracker.scalar_fallbacks += population.n_sets
-    return [
-        accept(algorithm, taskset, n_cores, model=model)
-        for taskset in population.tasksets()
-    ]
+    """Accept/reject vector of ``algorithm`` over a whole population
+    (one-algorithm form of :func:`accept_populations`)."""
+    return accept_populations(
+        [algorithm], population, n_cores, model=model, batch=batch,
+        stats=stats,
+    )[algorithm]
 
 
 def accept_populations(
@@ -367,14 +339,25 @@ def accept_populations(
 ) -> Dict[str, List[bool]]:
     """Accept/reject vectors of several algorithms over one population.
 
-    The batchable algorithms (:data:`BATCH_ALGORITHMS`) share a single
-    packing pass through
+    With ``batch=True`` the algorithms in :data:`BATCH_ALGORITHMS` share
+    a single packing pass through
     :func:`repro.analysis.batch.batch_partition_accept_multi` — the
     per-step vectorized probes cover every algorithm's rows at once, so
     asking five heuristics costs far less than five separate sweeps.
-    Non-batchable algorithms, ``batch=False``, and populations the
-    batch layer rejects take the same scalar per-lane fallback as
-    :func:`accept_population`.
+
+    FP-TS rides on the same pass: its whole-task phase is exactly FFD
+    (same inflation, same decreasing-(utilization, name) order, same
+    first-fit RTA probes), so every lane FFD accepts is an FP-TS accept
+    with FFD's assignment, and only the lanes FFD rejects run the scalar
+    split search.  The FFD row is computed for this even when FFD was
+    not requested.
+
+    Everything else — ``batch=False``, non-batchable algorithms, and
+    populations the batch layer cannot express (non-rate-monotonic
+    priority order; counted in ``scalar_fallbacks`` per requested
+    batched algorithm and lane) — runs scalar :func:`accept` lane by
+    lane.  Verdicts are bit-identical either way (the batch-vs-scratch
+    differential pair enforces this continuously).
     """
     for algorithm in algorithms:
         if algorithm not in ALGORITHMS:
@@ -382,31 +365,46 @@ def accept_populations(
                 f"unknown algorithm {algorithm!r}; choose from "
                 f"{sorted(ALGORITHMS)}"
             )
-    out: Dict[str, List[bool]] = {}
-    batched = [a for a in algorithms if batch and a in BATCH_ALGORITHMS]
+    batched = [
+        a for a in algorithms
+        if batch and (a in BATCH_ALGORITHMS or a == "FP-TS")
+    ]
+    rows: Dict[str, List[bool]] = {}
     if batched:
+        configs = list(dict.fromkeys(
+            "FFD" if a == "FP-TS" else a for a in batched
+        ))
         try:
             matrix = batch_partition_accept_multi(
                 population,
                 n_cores,
                 model=model,
-                configs=[BATCH_ALGORITHMS[a] for a in batched],
+                configs=[BATCH_ALGORITHMS[a] for a in configs],
                 stats=stats,
             )
-            for row, algorithm in zip(matrix, batched):
-                out[algorithm] = [bool(v) for v in row]
+            rows = {
+                a: [bool(v) for v in row] for a, row in zip(configs, matrix)
+            }
         except PopulationError:
             tracker = stats if stats is not None else BATCH_STATS
             tracker.scalar_fallbacks += population.n_sets * len(batched)
-            batched = []
+    tasksets: List[TaskSet] = []
+    out: Dict[str, List[bool]] = {}
     for algorithm in algorithms:
-        if algorithm not in out:
-            out[algorithm] = accept_population(
-                algorithm,
-                population,
-                n_cores,
-                model=model,
-                batch=False,
-                stats=stats,
-            )
+        if algorithm == "FP-TS" and "FFD" in rows:
+            verdicts = list(rows["FFD"])
+            rejected = [lane for lane, ok in enumerate(verdicts) if not ok]
+            for lane, taskset in zip(
+                rejected, population.tasksets(rejected)
+            ):
+                verdicts[lane] = accept(algorithm, taskset, n_cores, model)
+            out[algorithm] = verdicts
+        elif algorithm in rows:
+            out[algorithm] = rows[algorithm]
+        else:
+            tasksets = tasksets or population.tasksets()
+            out[algorithm] = [
+                accept(algorithm, taskset, n_cores, model=model)
+                for taskset in tasksets
+            ]
     return out

@@ -49,6 +49,9 @@ from repro.service.shards import DeadlineExceeded, ShardPool
 #: Largest accepted request body; admission task sets and campaign specs
 #: are small, so anything bigger is a client bug or an attack.
 MAX_BODY_BYTES = 1 << 20
+#: Largest accepted admission ``cores``; the partitioners keep per-core
+#: state, so an unbounded count lets one request exhaust the service.
+MAX_CORES = 1024
 
 Response = Tuple[int, Dict[str, str], bytes]
 
@@ -257,8 +260,8 @@ class ServiceApp:
             n_cores = int(n_cores)
         if isinstance(n_cores, bool) or not isinstance(n_cores, int):
             raise ValueError(f"'cores' must be an integer, got {n_cores!r}")
-        if n_cores < 1:
-            raise ValueError("'cores' must be at least 1")
+        if not 1 <= n_cores <= MAX_CORES:
+            raise ValueError(f"'cores' must be between 1 and {MAX_CORES}")
         algorithms = tuple(data.get("algorithms", ("FP-TS", "FFD", "WFD")))
         for name in algorithms:
             if name not in ALGORITHMS:

@@ -21,7 +21,8 @@ Ten pairs, each exercising a different redundancy in the codebase:
   the utilization grid;
 * **batch-vs-scratch** — the struct-of-arrays batch kernels
   (:mod:`repro.analysis.batch`) must produce bit-identical accept/reject
-  vectors to the from-scratch scalar contexts on whole populations, and
+  vectors (FP-TS included, via its FFD prefilter) to the from-scratch
+  scalar contexts on whole populations, and
   the batched RTA fixed point must return the identical integer response
   times as the scalar analyzer on every accepted core;
 * **legacy-vs-plugin** — :class:`~repro.kernel.legacy.LegacyKernelSim`
@@ -377,8 +378,9 @@ def incremental_vs_scratch(trials: int = 20, seed: int = 0) -> List[str]:
 
 
 #: Algorithms the batch layer expresses natively (must mirror
-#: ``repro.experiments.algorithms.BATCH_ALGORITHMS``).
-_BATCH_ALGORITHMS = ("FFD", "WFD", "BFD", "NFD", "P-EDF")
+#: ``repro.experiments.algorithms.BATCH_ALGORITHMS``), plus FP-TS, which
+#: the batch FFD row prefilters.
+_BATCH_ALGORITHMS = ("FFD", "WFD", "BFD", "NFD", "P-EDF", "FP-TS")
 
 
 def batch_vs_scratch(trials: int = 20, seed: int = 0) -> List[str]:
@@ -388,9 +390,11 @@ def batch_vs_scratch(trials: int = 20, seed: int = 0) -> List[str]:
     zero and paper-calibrated overhead models), packs it into aligned
     arrays, and asserts two bit-level identities:
 
-    * the batch accept/reject vector of every batchable algorithm equals
-      the per-set verdicts of the scalar partitioners on from-scratch
-      contexts (``incremental=False`` — the most independent reference);
+    * the batch accept/reject vector of every batchable algorithm, and
+      of FP-TS (the FFD row plus the split search on the lanes FFD
+      rejects), equals the per-set verdicts of the scalar partitioners
+      on from-scratch contexts (``incremental=False`` — the most
+      independent reference);
     * on every core of every accepted FFD assignment, the batched RTA
       fixed point returns the identical integer response times as the
       scalar :func:`~repro.analysis.rta.core_schedulable`.

@@ -349,6 +349,23 @@ def test_accept_populations_mixes_batch_and_scalar_algorithms():
         accept_population("no-such-alg", population, N_CORES)
 
 
+def test_partial_materialization_matches_full_list():
+    population, _ = _population(5, 0.75, count=6)
+    full = population.tasksets()
+    lanes = [4, 0, 3]
+
+    def fields(taskset):
+        return [
+            (t.name, t.wcet, t.period, t.deadline, t.wss, t.priority)
+            for t in taskset
+        ]
+
+    assert [fields(ts) for ts in population.tasksets(lanes)] == [
+        fields(full[lane]) for lane in lanes
+    ]
+    assert population.tasksets([]) == []
+
+
 def test_population_roundtrip_tasksets():
     population, tasksets = _population(3, 0.65, count=3)
     for materialized, original in zip(population.tasksets(), tasksets):

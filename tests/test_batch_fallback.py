@@ -61,10 +61,8 @@ def _raise_population_error(*args, **kwargs):
 
 @pytest.fixture
 def broken_batch(monkeypatch):
-    """Make every batch kernel call fail (as imported by the registry)."""
-    monkeypatch.setattr(
-        algorithms_mod, "batch_partition_accept", _raise_population_error
-    )
+    """Make the batch kernel fail (as imported by the registry, whose
+    every batched path goes through the multi-config entry point)."""
     monkeypatch.setattr(
         algorithms_mod,
         "batch_partition_accept_multi",
@@ -91,6 +89,31 @@ class TestInjectedFallbackSingle:
             )
             assert fell_back == scalar
             assert stats.scalar_fallbacks == population.n_sets
+
+    def test_fpts_prefilter_falls_back_bit_identical(self, broken_batch):
+        """FP-TS's FFD prefilter shares the kernel call: when it fails,
+        FP-TS is answered scalar and its lanes are counted like any
+        batched algorithm's."""
+        population = _population(seed=29, count=8)
+        model = OverheadModel.paper_core_i7(N_CORES)
+        for algorithms in (["FP-TS"], ["FP-TS", "FFD", "WFD"]):
+            stats = BatchStats()
+            fell_back = accept_populations(
+                algorithms,
+                population,
+                N_CORES,
+                model=model,
+                batch=True,
+                stats=stats,
+            )
+            scalar = accept_populations(
+                algorithms, population, N_CORES, model=model, batch=False
+            )
+            assert fell_back == scalar
+            assert (
+                stats.scalar_fallbacks
+                == population.n_sets * len(algorithms)
+            )
 
     def test_fallback_counts_into_global_tracker(self, broken_batch):
         population = _population(seed=11)
@@ -135,9 +158,9 @@ class TestInjectedFallbackMulti:
         )
         assert fell_back == scalar
         # The multi kernel fails once for the whole batched group, then
-        # each algorithm's scalar retry goes through accept_population
-        # with batch=False (which never touches the kernel again), so
-        # the count is exactly lanes x batched algorithms.
+        # each algorithm is answered by scalar accept() lane by lane
+        # (which never touches the kernel again), so the count is
+        # exactly lanes x batched algorithms.
         assert (
             stats.scalar_fallbacks
             == population.n_sets * len(algorithms)

@@ -218,8 +218,15 @@ class TestAdmission:
             ("deadline_ms", float("inf")),
             ("cores", 2.9),
             ("cores", True),
+            ("cores", 1025),
         ],
-        ids=["deadline-nan", "deadline-inf", "cores-fraction", "cores-bool"],
+        ids=[
+            "deadline-nan",
+            "deadline-inf",
+            "cores-fraction",
+            "cores-bool",
+            "cores-above-max",
+        ],
     )
     def test_non_finite_deadline_and_non_integral_cores_get_400(
         self, tmp_path, field, value
