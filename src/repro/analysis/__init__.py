@@ -30,10 +30,6 @@ from repro.analysis.incremental import (
     AnalysisStats,
     CoreAnalysisContext,
     EdfCoreContext,
-    EdfScratchContext,
-    ScratchRtaContext,
-    make_edf_context,
-    make_rta_context,
 )
 from repro.analysis.bounds import (
     liu_layland_bound,
@@ -82,10 +78,6 @@ __all__ = [
     "AnalysisStats",
     "CoreAnalysisContext",
     "EdfCoreContext",
-    "EdfScratchContext",
-    "ScratchRtaContext",
-    "make_edf_context",
-    "make_rta_context",
     "liu_layland_bound",
     "liu_layland_schedulable",
     "hyperbolic_schedulable",

@@ -34,16 +34,15 @@ the candidate can actually change:
   everyone else's interference, so the smaller budget's responses lower-
   bound the larger budget's.
 
-:class:`ScratchRtaContext` implements the same API with the original
-from-scratch semantics (full re-sort, cold fixed points, and per-entry
-interferer-list rebuilds per probe) and is the reference the
-differential suite compares against;
-``repro.analysis.rta`` itself stays untouched as the independent
-per-entry oracle.  :class:`EdfCoreContext` / :class:`EdfScratchContext`
-are the demand-bound (C=D / partitioned-EDF) counterparts: the exact
-processor-demand test does not decompose per entry, so the incremental
-variant caches the admission triples and the candidate-side ``C <= D``
-pre-check rather than fixed points.
+:mod:`repro.analysis.rta` and :mod:`repro.analysis.edf` stay untouched
+as the independent oracles: the ``context-vs-oracle`` differential pair
+(:mod:`repro.verify.differential`) replays random probe / commit /
+install / remove / clone / budget-search sequences and checks every
+verdict and response against them.  :class:`EdfCoreContext` is the
+demand-bound (C=D / partitioned-EDF) counterpart: the exact
+processor-demand test does not decompose per entry, so it caches the
+admission triples and the candidate-side ``C <= D`` pre-check rather
+than fixed points.
 
 Every context counts its work in an :class:`AnalysisStats` (default: the
 module-global :data:`STATS`), whose counters publish to a
@@ -57,7 +56,7 @@ from bisect import bisect_right
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.analysis.edf import edf_schedulable
-from repro.analysis.rta import _entry_sort_key, order_entries
+from repro.analysis.rta import _entry_sort_key
 from repro.model.assignment import Entry
 
 
@@ -232,8 +231,6 @@ class CoreAnalysisContext(_BudgetSearchMixin):
     entry's feasibility is only ever concluded from a freshly converged
     fixed point, so the lower-bound slack cannot change any decision.
     """
-
-    incremental = True
 
     def __init__(
         self,
@@ -492,129 +489,6 @@ class CoreAnalysisContext(_BudgetSearchMixin):
         return [(entry, self.response_of(entry)) for entry in self.entries]
 
 
-class ScratchRtaContext(_BudgetSearchMixin):
-    """The from-scratch reference with the same API: every probe
-    re-sorts the core and re-runs a cold fixed point for *all* entries,
-    rebuilding each entry's interferer list on the fly — the exact
-    per-probe cost shape the partitioners had before the incremental
-    engine (``_core_feasible`` / ``rta_admission`` over plain entry
-    lists), minus the duplicated lower-bound probe fixed in
-    :class:`_BudgetSearchMixin` (kept fixed here too, so the benchmark
-    does not take credit for that bugfix)."""
-
-    incremental = False
-
-    def __init__(
-        self,
-        budget_fn: Optional[Callable[[Entry], int]] = None,
-        tick_ns: int = 0,
-        stats: Optional[AnalysisStats] = None,
-    ) -> None:
-        self.budget_fn = budget_fn if budget_fn is not None else _raw_budget
-        self.tick_ns = tick_ns
-        self.stats = stats if stats is not None else STATS
-        self.entries: List[Entry] = []  # append order, like the old lists
-        self._utilization = 0.0
-        self._last_candidate: Optional[Entry] = None
-
-    @property
-    def utilization(self) -> float:
-        return self._utilization
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def prepare(self, candidate: Entry) -> None:
-        """Nothing reusable across a scan — every probe recomputes
-        everything, like the helpers this context reproduces."""
-        return None
-
-    def probe(
-        self,
-        candidate: Entry,
-        warm: Optional[_ProbeResult] = None,
-        pre: Optional[tuple] = None,
-    ) -> Optional[int]:
-        self.stats.probes += 1
-        self._last_candidate = None
-        tick = self.tick_ns
-        ordered = order_entries(self.entries + [candidate])
-        candidate_response: Optional[int] = None
-        for index, entry in enumerate(ordered):
-            # Per-entry interferer-list rebuild, as the original helpers
-            # did (O(n^2) triple construction per probe).
-            higher = [self._triple_of(e) for e in ordered[:index]]
-            response = fixed_point(
-                self._triple_of(entry)[0],
-                higher,
-                index,
-                None,
-                entry.deadline - tick,
-                None,
-                self.stats,
-            )
-            if response is None:
-                return None
-            if entry is candidate:
-                candidate_response = response
-        self._last_candidate = candidate
-        self._last_response = candidate_response
-        return candidate_response
-
-    def _triple_of(self, entry: Entry) -> Tuple[int, int, int]:
-        return (
-            self.budget_fn(entry),
-            entry.period,
-            entry.jitter + self.tick_ns,
-        )
-
-    def commit(self, candidate: Entry) -> int:
-        if self._last_candidate is not candidate:
-            if self.probe(candidate) is None:
-                raise ValueError(
-                    f"commit of infeasible candidate {candidate.name}"
-                )
-        response = self._last_response
-        self.install(candidate)
-        return response
-
-    def install(self, entry: Entry, response: Optional[int] = None) -> None:
-        self.entries.append(entry)
-        self._utilization += entry.utilization
-        self._last_candidate = None
-
-    def remove(self, entry: Entry) -> None:
-        self.entries.remove(entry)
-        self._utilization -= entry.utilization
-        self._last_candidate = None
-
-    def clone(self) -> "ScratchRtaContext":
-        copy = ScratchRtaContext(self.budget_fn, self.tick_ns, self.stats)
-        copy.entries = list(self.entries)
-        copy._utilization = self._utilization
-        return copy
-
-    def response_of(self, entry: Entry) -> Optional[int]:
-        ordered = order_entries(self.entries)
-        triples = [self._triple_of(e) for e in ordered]
-        index = ordered.index(entry)
-        return fixed_point(
-            triples[index][0],
-            triples,
-            index,
-            None,
-            entry.deadline - self.tick_ns,
-            None,
-            self.stats,
-        )
-
-    def responses(self) -> List[Tuple[Entry, Optional[int]]]:
-        return [
-            (entry, self.response_of(entry))
-            for entry in order_entries(self.entries)
-        ]
-
-
 def _raw_triple(entry: Entry) -> Tuple[int, int, int]:
     return (entry.budget, entry.period, entry.deadline)
 
@@ -631,8 +505,6 @@ class EdfCoreContext(_BudgetSearchMixin):
     the candidate-side ``C <= D`` veto the C=D splitter used to apply to
     the whole core (residents passed it at their own admission, so the
     candidate check is equivalent)."""
-
-    incremental = True
 
     def __init__(
         self,
@@ -709,101 +581,3 @@ class EdfCoreContext(_BudgetSearchMixin):
         copy._triples = list(self._triples)
         copy._utilization = self._utilization
         return copy
-
-
-class EdfScratchContext(_BudgetSearchMixin):
-    """From-scratch demand-bound reference: rebuilds every triple and
-    re-checks every ``C <= D`` per probe (the old ``_core_edf_ok``)."""
-
-    incremental = False
-
-    def __init__(
-        self,
-        triple_fn: Callable[[Entry], Tuple[int, int, int]] = _raw_triple,
-        precheck_cd: bool = True,
-        stats: Optional[AnalysisStats] = None,
-    ) -> None:
-        self.triple_fn = triple_fn
-        self.precheck_cd = precheck_cd
-        self.stats = stats if stats is not None else STATS
-        self.entries: List[Entry] = []
-        self._utilization = 0.0
-        self._last_candidate: Optional[Entry] = None
-
-    @property
-    def utilization(self) -> float:
-        return self._utilization
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def prepare(self, candidate: Entry) -> None:
-        """Nothing reusable — the from-scratch reference rebuilds every
-        triple per probe, like the old ``_core_edf_ok``."""
-        return None
-
-    def probe(
-        self,
-        candidate: Entry,
-        warm: Optional[_ProbeResult] = None,
-        pre: Optional[tuple] = None,
-    ) -> Optional[int]:
-        self.stats.probes += 1
-        self._last_candidate = None
-        triples = [self.triple_fn(e) for e in self.entries + [candidate]]
-        if self.precheck_cd:
-            for wcet, _period, deadline in triples:
-                if wcet > deadline:
-                    return None
-        self.stats.edf_tests += 1
-        if not edf_schedulable(triples):
-            return None
-        self._last_candidate = candidate
-        return 1
-
-    def commit(self, candidate: Entry) -> int:
-        if self._last_candidate is not candidate:
-            if self.probe(candidate) is None:
-                raise ValueError(
-                    f"commit of infeasible candidate {candidate.name}"
-                )
-        self.install(candidate)
-        return 1
-
-    def install(self, entry: Entry, response: Optional[int] = None) -> None:
-        self.entries.append(entry)
-        self._utilization += entry.utilization
-        self._last_candidate = None
-
-    def remove(self, entry: Entry) -> None:
-        self.entries.remove(entry)
-        self._utilization -= entry.utilization
-        self._last_candidate = None
-
-    def clone(self) -> "EdfScratchContext":
-        copy = EdfScratchContext(self.triple_fn, self.precheck_cd, self.stats)
-        copy.entries = list(self.entries)
-        copy._utilization = self._utilization
-        return copy
-
-
-def make_rta_context(
-    incremental: bool = True,
-    budget_fn: Optional[Callable[[Entry], int]] = None,
-    tick_ns: int = 0,
-    stats: Optional[AnalysisStats] = None,
-):
-    """RTA context of the requested flavor (shared partitioner helper)."""
-    cls = CoreAnalysisContext if incremental else ScratchRtaContext
-    return cls(budget_fn=budget_fn, tick_ns=tick_ns, stats=stats)
-
-
-def make_edf_context(
-    incremental: bool = True,
-    triple_fn: Callable[[Entry], Tuple[int, int, int]] = _raw_triple,
-    precheck_cd: bool = True,
-    stats: Optional[AnalysisStats] = None,
-):
-    """Demand-bound context of the requested flavor."""
-    cls = EdfCoreContext if incremental else EdfScratchContext
-    return cls(triple_fn=triple_fn, precheck_cd=precheck_cd, stats=stats)

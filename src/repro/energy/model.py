@@ -242,8 +242,9 @@ class CoreEnergy:
 class EnergyLedger:
     """Per-core busy/overhead/idle energy of one simulation.
 
-    An *empty* ledger (no cores) marks a producer that does not account
-    energy (the frozen legacy simulator); checkers skip it.
+    An *empty* ledger (no cores) is the placeholder of a result whose
+    run has not settled its ledger; :func:`check_energy_ledger` reports
+    it as a core-count mismatch like any other truncated ledger.
     """
 
     duration_ns: int = 0
@@ -326,8 +327,6 @@ def check_energy_ledger(
     Mirrors :func:`repro.servers.sim.check_server_ledger`.
     """
     violations: List[str] = []
-    if ledger.is_empty:
-        return violations
     if ledger.duration_ns != duration:
         violations.append(
             f"ledger horizon {ledger.duration_ns} != run horizon {duration}"

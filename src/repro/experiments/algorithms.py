@@ -45,7 +45,7 @@ from repro.semipart.fpts import FptsConfig, fpts_partition
 from repro.semipart.pdms import PdmsConfig, pdms_hpts_partition
 from repro.semipart.spa import spa1_partition, spa2_partition
 
-# (taskset, n_cores, model, incremental=True) -> assignment or None
+# (taskset, n_cores, model) -> assignment or None
 PartitionFn = Callable[..., Optional[Assignment]]
 
 
@@ -70,32 +70,23 @@ def _with_inflation(
     partition: Callable[..., Optional[Assignment]],
 ) -> PartitionFn:
     def run(
-        taskset: TaskSet,
-        n_cores: int,
-        model: OverheadModel,
-        incremental: bool = True,
+        taskset: TaskSet, n_cores: int, model: OverheadModel
     ) -> Optional[Assignment]:
-        inflated = inflate_taskset(taskset, model)
-        return partition(inflated, n_cores, incremental=incremental)
+        return partition(inflate_taskset(taskset, model), n_cores)
 
     return run
 
 
-def _global_edf(
-    taskset: TaskSet, n_cores: int, incremental: bool = True
-) -> Optional[Assignment]:
+def _global_edf(taskset: TaskSet, n_cores: int) -> Optional[Assignment]:
     """GFB acceptance; returns a placeholder assignment (global scheduling
     produces no partition — simulate with :class:`repro.kernel.GlobalSim`).
-    ``incremental`` is accepted for registry uniformity (no per-core
-    analysis to memoize)."""
+    """
     if global_edf_gfb_schedulable(taskset, n_cores):
         return Assignment(n_cores)
     return None
 
 
-def _global_rm(
-    taskset: TaskSet, n_cores: int, incremental: bool = True
-) -> Optional[Assignment]:
+def _global_rm(taskset: TaskSet, n_cores: int) -> Optional[Assignment]:
     """RM-US acceptance; placeholder assignment as for ``_global_edf``."""
     if global_rm_us_schedulable(taskset, n_cores):
         return Assignment(n_cores)
@@ -103,10 +94,7 @@ def _global_rm(
 
 
 def _fpts(
-    taskset: TaskSet,
-    n_cores: int,
-    model: OverheadModel,
-    incremental: bool = True,
+    taskset: TaskSet, n_cores: int, model: OverheadModel
 ) -> Optional[Assignment]:
     inflated = inflate_taskset(taskset, model)
     max_wss = max((task.wss for task in taskset), default=0)
@@ -114,15 +102,11 @@ def _fpts(
         inflated,
         n_cores,
         FptsConfig.from_model(model, cpmd_wss=max_wss),
-        incremental=incremental,
     )
 
 
 def _cd_split(
-    taskset: TaskSet,
-    n_cores: int,
-    model: OverheadModel,
-    incremental: bool = True,
+    taskset: TaskSet, n_cores: int, model: OverheadModel
 ) -> Optional[Assignment]:
     inflated = inflate_taskset(taskset, model)
     max_wss = max((task.wss for task in taskset), default=0)
@@ -130,15 +114,11 @@ def _cd_split(
         inflated,
         n_cores,
         CdSplitConfig.from_model(model, cpmd_wss=max_wss),
-        incremental=incremental,
     )
 
 
 def _pdms(
-    taskset: TaskSet,
-    n_cores: int,
-    model: OverheadModel,
-    incremental: bool = True,
+    taskset: TaskSet, n_cores: int, model: OverheadModel
 ) -> Optional[Assignment]:
     from repro.overhead.accounting import (
         migration_in_overhead,
@@ -151,9 +131,7 @@ def _pdms(
         split_cost=migration_in_overhead(model, max_wss),
         split_cost_out=migration_out_overhead(model),
     )
-    return pdms_hpts_partition(
-        inflated, n_cores, config, incremental=incremental
-    )
+    return pdms_hpts_partition(inflated, n_cores, config)
 
 
 ALGORITHMS: Dict[str, AlgorithmSpec] = {
@@ -262,13 +240,8 @@ def build_assignment(
     taskset: TaskSet,
     n_cores: int,
     model: OverheadModel = OverheadModel.zero(),
-    incremental: bool = True,
 ) -> Optional[Assignment]:
-    """Run ``algorithm`` and return its assignment (None = rejected).
-
-    ``incremental=False`` forces the from-scratch analysis contexts in
-    the partitioners (the differential reference; identical result).
-    """
+    """Run ``algorithm`` and return its assignment (None = rejected)."""
     try:
         spec = ALGORITHMS[algorithm]
     except KeyError:
@@ -276,7 +249,7 @@ def build_assignment(
             f"unknown algorithm {algorithm!r}; choose from "
             f"{sorted(ALGORITHMS)}"
         ) from None
-    return spec.fn(taskset, n_cores, model, incremental=incremental)
+    return spec.fn(taskset, n_cores, model)
 
 
 def accept(
@@ -284,19 +257,9 @@ def accept(
     taskset: TaskSet,
     n_cores: int,
     model: OverheadModel = OverheadModel.zero(),
-    incremental: bool = True,
 ) -> bool:
     """True iff the overhead-aware analysis accepts the task set."""
-    return (
-        build_assignment(
-            taskset=taskset,
-            algorithm=algorithm,
-            n_cores=n_cores,
-            model=model,
-            incremental=incremental,
-        )
-        is not None
-    )
+    return build_assignment(algorithm, taskset, n_cores, model) is not None
 
 
 #: Algorithms the batch layer can express: plain decreasing-utilization
@@ -356,7 +319,7 @@ def accept_populations(
     populations the batch layer cannot express (non-rate-monotonic
     priority order; counted in ``scalar_fallbacks`` per requested
     batched algorithm and lane) — runs scalar :func:`accept` lane by
-    lane.  Verdicts are bit-identical either way (the batch-vs-scratch
+    lane.  Verdicts are bit-identical either way (the batch-vs-scalar
     differential pair enforces this continuously).
     """
     for algorithm in algorithms:

@@ -20,14 +20,12 @@ Scheduling policies are pluggable (:mod:`repro.kernel.sched_class`): the
 simulator delegates every queue decision to a :class:`SchedulingClass`,
 with registered classes for semi-partitioned FP (the default), per-core
 EDF, restricted-migration semi-partitioning, shared-queue global EDF/RM,
-and an EEVDF-style fair class for background work.
-:class:`~repro.kernel.legacy.LegacyKernelSim` is a frozen snapshot of
-the pre-plugin monolithic simulator kept as the bit-identity reference
-for the ``legacy-vs-plugin`` differential pair.
+and an EEVDF-style fair class for background work.  The FP and EDF
+classes reproduce the pre-plugin monolithic simulator bit-for-bit; its
+output is frozen in ``tests/golden/legacy_matrix.json``.
 """
 
 from repro.kernel.events import EventQueue, Event
-from repro.kernel.legacy import LegacyKernelSim
 from repro.kernel.runtime import Job, RTTask, Stage, build_runtime_tasks
 from repro.kernel.sched_class import (
     BACKGROUND_KEY,
@@ -49,7 +47,6 @@ __all__ = [
     "Event",
     "FAIR_KEY_BASE",
     "Job",
-    "LegacyKernelSim",
     "RTTask",
     "SCHED_CLASSES",
     "SchedulingClass",

@@ -23,9 +23,7 @@ from typing import Callable, List, Optional, Tuple
 #: kernel-op ends (20) come last, so every release arriving at the same
 #: instant joins the current kernel episode *before* the final
 #: scheduling decision — a tick handler that wakes all expired timers
-#: and then calls schedule() once, like the real kernel.  Shared by
-#: every simulator (plugin and legacy) so their event streams stay
-#: comparable entry for entry.
+#: and then calls schedule() once, like the real kernel.
 _COMPLETION_PRIORITY = 0
 _RELEASE_PRIORITY = 10
 _OP_PRIORITY = 20

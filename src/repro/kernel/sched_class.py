@@ -16,9 +16,9 @@ answers five questions:
 plus lifecycle hooks (``plan_stages``, ``on_dispatch``, ``on_executed``,
 ``on_tick``, ``after_sched``) that default to no-ops.  The base-class
 defaults reproduce the paper's fixed-priority semi-partitioned scheduler
-**bit-identically** (pinned by the legacy-vs-plugin differential pair in
-:mod:`repro.verify.differential` and the golden-trace suite), so a new
-class only overrides what it changes.
+**bit-identically** (pinned by the frozen pre-plugin matrix
+``tests/golden/legacy_matrix.json`` and the golden-trace suite), so a
+new class only overrides what it changes.
 
 Key-space layout
 ----------------

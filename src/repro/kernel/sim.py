@@ -74,8 +74,8 @@ from repro.structures.rbtree import RedBlackTree
 #: Ready-queue key prefix of a job demoted to background priority: sorts
 #: after every fixed-priority level, every EDF deadline, and every fair
 #: virtual deadline (see :mod:`repro.kernel.sched_class` for the full
-#: key-space layout).  The same-instant event priorities now live in
-#: :mod:`repro.kernel.events`, shared with the frozen legacy simulator.
+#: key-space layout).  The same-instant event priorities live in
+#: :mod:`repro.kernel.events`.
 _BACKGROUND_KEY = 1 << 62
 
 #: Profiling bucket per op kind (hoisted out of the per-op hot path).
@@ -162,8 +162,7 @@ class SimulationResult:
     #: order; empty when the run had no fault plan.
     faults: FaultLog = field(default_factory=FaultLog)
     #: Per-core busy/overhead/idle energy under the run's frequency
-    #: vector and power model.  Producers that don't account energy (the
-    #: frozen legacy simulator) leave it empty; checkers skip it then.
+    #: vector and power model.
     energy: EnergyLedger = field(default_factory=EnergyLedger.empty)
 
     @property
@@ -352,8 +351,8 @@ class KernelSim:
         ``"fair"``) or a ready :class:`~repro.kernel.sched_class.
         SchedulingClass` instance.  ``None`` (the default) derives the
         class from ``policy``, preserving the pre-plugin behaviour
-        bit-identically (pinned by the legacy-vs-plugin differential
-        pair).  Class instances are stateful and single-use, like the
+        bit-identically (pinned by ``tests/golden/legacy_matrix.json``).
+        Class instances are stateful and single-use, like the
         simulator itself.
     fair_tasks:
         Optional best-effort background tasks, scheduled by the EEVDF-

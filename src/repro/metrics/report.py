@@ -153,35 +153,25 @@ def queue_op_curves(registry: MetricsRegistry) -> dict:
     return result
 
 
-def record_analysis_stats(
-    registry: MetricsRegistry,
-    stats,
-    mode: str,
-) -> None:
+def record_analysis_stats(registry: MetricsRegistry, stats) -> None:
     """Publish an :class:`repro.analysis.incremental.AnalysisStats`
-    snapshot as ``ana_*`` counters, labelled by analysis ``mode``
-    (``"incremental"`` or ``"scratch"``).
+    snapshot as ``ana_*`` counters.
 
     The ``ana_*`` family follows the ``sim_*`` convention — the numbers
-    are deterministic functions of the task set and analysis mode, so a
-    drift under a fixed scenario means analysis behaviour changed — but
-    the family is *not* gated by :func:`compare_reports`: iteration
-    counts legitimately differ between modes (that asymmetry is the
-    point; ``benchmarks/perf_partition.py`` records both).
+    are deterministic functions of the task set, so a drift under a
+    fixed scenario means analysis behaviour changed — but the family is
+    *not* gated by :func:`compare_reports`: analysis work counts move
+    with every analysis optimization.
     """
     snapshot = stats.snapshot() if hasattr(stats, "snapshot") else dict(stats)
-    registry.counter("ana_fixpoint_iterations_total", mode=mode).inc(
+    registry.counter("ana_fixpoint_iterations_total").inc(
         snapshot["fixpoint_iterations"]
     )
-    registry.counter("ana_rta_probes_total", mode=mode).inc(
-        snapshot["probes"]
-    )
-    registry.counter("ana_budget_searches_total", mode=mode).inc(
+    registry.counter("ana_rta_probes_total").inc(snapshot["probes"])
+    registry.counter("ana_budget_searches_total").inc(
         snapshot["budget_searches"]
     )
-    registry.counter("ana_edf_tests_total", mode=mode).inc(
-        snapshot["edf_tests"]
-    )
+    registry.counter("ana_edf_tests_total").inc(snapshot["edf_tests"])
 
 
 def record_batch_stats(registry: MetricsRegistry, stats) -> None:

@@ -20,8 +20,6 @@ Admission tests that expose a ``context_factory`` attribute (the exact
 RTA and EDF tests do) run on per-core analysis contexts from
 :mod:`repro.analysis.incremental`: probes memoize response times between
 candidates instead of re-analyzing the whole core each time.
-``partition_taskset(..., incremental=False)`` selects the from-scratch
-context (bit-identical result; see ``repro.verify.differential``).
 Plain-callable admission tests (utilization bounds, OPA) keep the
 original per-candidate evaluation path.
 """
@@ -35,7 +33,7 @@ from repro.analysis.bounds import (
     hyperbolic_schedulable,
     liu_layland_schedulable,
 )
-from repro.analysis.incremental import make_rta_context
+from repro.analysis.incremental import CoreAnalysisContext
 from repro.analysis.rta import core_schedulable
 from repro.model.assignment import Assignment, Entry, EntryKind
 from repro.model.task import Task
@@ -51,9 +49,7 @@ def rta_admission(entries: Sequence[Entry]) -> bool:
 
 # Exact RTA admission runs on an analysis context when partition_taskset
 # drives it (incremental memoization; see repro.analysis.incremental).
-rta_admission.context_factory = (
-    lambda incremental: make_rta_context(incremental=incremental)
-)
+rta_admission.context_factory = CoreAnalysisContext
 
 
 def liu_layland_admission(entries: Sequence[Entry]) -> bool:
@@ -89,7 +85,6 @@ def partition_taskset(
     placement: Placement = Placement.FIRST_FIT,
     admission: AdmissionTest = rta_admission,
     ordering: Optional[Callable[[Sequence[Entry]], List[Entry]]] = None,
-    incremental: bool = True,
 ) -> Optional[Assignment]:
     """Partition ``taskset`` onto ``n_cores`` cores, decreasing-utilization
     order.  Returns the assignment, or ``None`` if some task fits nowhere.
@@ -100,10 +95,6 @@ def partition_taskset(
     (highest first); defaults to the rate-monotonic rule.  An admission
     test that certifies "some order exists" (e.g. OPA) must supply the
     matching ordering so the emitted assignment is the certified one.
-
-    ``incremental`` picks the analysis-context flavor for admission tests
-    that carry a ``context_factory`` (exact RTA / EDF); it has no effect
-    on plain-callable admission tests.
     """
     for task in taskset:
         if task.priority is None:
@@ -116,7 +107,7 @@ def partition_taskset(
     next_fit_pointer = 0
 
     if factory is not None:
-        contexts = [factory(incremental) for _ in range(n_cores)]
+        contexts = [factory() for _ in range(n_cores)]
         for task in taskset.sorted_by_utilization(descending=True):
             chosen, entry = _choose_core_with_contexts(
                 task, contexts, placement, next_fit_pointer
@@ -256,47 +247,31 @@ def partition_first_fit_decreasing(
     taskset: TaskSet,
     n_cores: int,
     admission: AdmissionTest = rta_admission,
-    incremental: bool = True,
 ) -> Optional[Assignment]:
     """FFD — the paper's first baseline."""
-    return partition_taskset(
-        taskset, n_cores, Placement.FIRST_FIT, admission,
-        incremental=incremental,
-    )
+    return partition_taskset(taskset, n_cores, Placement.FIRST_FIT, admission)
 
 
 def partition_worst_fit_decreasing(
     taskset: TaskSet,
     n_cores: int,
     admission: AdmissionTest = rta_admission,
-    incremental: bool = True,
 ) -> Optional[Assignment]:
     """WFD — the paper's second baseline."""
-    return partition_taskset(
-        taskset, n_cores, Placement.WORST_FIT, admission,
-        incremental=incremental,
-    )
+    return partition_taskset(taskset, n_cores, Placement.WORST_FIT, admission)
 
 
 def partition_best_fit_decreasing(
     taskset: TaskSet,
     n_cores: int,
     admission: AdmissionTest = rta_admission,
-    incremental: bool = True,
 ) -> Optional[Assignment]:
-    return partition_taskset(
-        taskset, n_cores, Placement.BEST_FIT, admission,
-        incremental=incremental,
-    )
+    return partition_taskset(taskset, n_cores, Placement.BEST_FIT, admission)
 
 
 def partition_next_fit_decreasing(
     taskset: TaskSet,
     n_cores: int,
     admission: AdmissionTest = rta_admission,
-    incremental: bool = True,
 ) -> Optional[Assignment]:
-    return partition_taskset(
-        taskset, n_cores, Placement.NEXT_FIT, admission,
-        incremental=incremental,
-    )
+    return partition_taskset(taskset, n_cores, Placement.NEXT_FIT, admission)

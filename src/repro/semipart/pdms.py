@@ -26,12 +26,11 @@ Entries and split bookkeeping follow the same conventions as FP-TS, so
 the produced assignments drive the analysis and kernel simulator directly.
 
 Admission runs on per-core analysis contexts from
-:mod:`repro.analysis.incremental` (incremental memoized RTA by default;
-``incremental=False`` selects the from-scratch reference — bit-identical
-assignments either way).  The speculative core rebuild of a split
-attempt happens on a *clone* of the core's context, adopted only when
-the attempt succeeds; victim selection uses a placement-order shadow
-list so the choice is independent of how a context stores its entries.
+:mod:`repro.analysis.incremental` (memoized RTA).  The speculative core
+rebuild of a split attempt happens on a *clone* of the core's context,
+adopted only when the attempt succeeds; victim selection uses a
+placement-order shadow list (the order of first placement, not the
+context's priority order).
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from repro.analysis.incremental import make_rta_context
+from repro.analysis.incremental import CoreAnalysisContext
 from repro.analysis.rta import order_entries
 from repro.model.assignment import Assignment, Entry, EntryKind
 from repro.model.split import SplitTask, Subtask
@@ -118,14 +117,11 @@ def _entry_for(piece: _Piece, core: int, config: PdmsConfig) -> Entry:
 
 
 class _PdmsState:
-    def __init__(
-        self, n_cores: int, config: PdmsConfig, incremental: bool = True
-    ) -> None:
+    def __init__(self, n_cores: int, config: PdmsConfig) -> None:
         self.config = config
         self.contexts = [
-            make_rta_context(
-                incremental=incremental,
-                budget_fn=lambda e: _analysis_budget(e, config),
+            CoreAnalysisContext(
+                budget_fn=lambda e: _analysis_budget(e, config)
             )
             for _ in range(n_cores)
         ]
@@ -258,12 +254,8 @@ def pdms_hpts_partition(
     taskset: TaskSet,
     n_cores: int,
     config: PdmsConfig = PdmsConfig(),
-    incremental: bool = True,
 ) -> Optional[Assignment]:
     """PDMS_HPTS partitioning; returns None when infeasible.
-
-    ``incremental=False`` runs on the from-scratch analysis context
-    (differential reference; bit-identical result).
 
     >>> from repro.model import Task, TaskSet
     >>> ts = TaskSet([
@@ -281,7 +273,7 @@ def pdms_hpts_partition(
                 f"task {task.name} has no priority; call "
                 "assign_rate_monotonic() first"
             )
-    state = _PdmsState(n_cores, config, incremental=incremental)
+    state = _PdmsState(n_cores, config)
     queue: List[_Piece] = [
         _Piece(
             task=task,

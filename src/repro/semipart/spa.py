@@ -31,7 +31,7 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from repro.analysis.bounds import liu_layland_bound, spa_light_threshold
-from repro.analysis.incremental import make_rta_context
+from repro.analysis.incremental import CoreAnalysisContext
 from repro.analysis.rta import order_entries
 from repro.model.assignment import Assignment, Entry, EntryKind
 from repro.model.split import SplitTask, Subtask
@@ -51,17 +51,13 @@ class _SpaFill:
     uniform with the probe-driven partitioners.
     """
 
-    def __init__(
-        self, cores: List[int], theta: float, incremental: bool = True
-    ) -> None:
+    def __init__(self, cores: List[int], theta: float) -> None:
         if not cores:
             raise ValueError("no cores to fill")
         self.cores = cores  # physical core ids, filled in this order
         self.theta = theta
         self.position = 0  # index into self.cores
-        self.contexts = {
-            core: make_rta_context(incremental=incremental) for core in cores
-        }
+        self.contexts = {core: CoreAnalysisContext() for core in cores}
         self.splits: List[SplitTask] = []
         self.body_rank = 0
 
@@ -205,15 +201,11 @@ def _require_priorities(taskset: TaskSet) -> None:
             )
 
 
-def spa1_partition(
-    taskset: TaskSet, n_cores: int, incremental: bool = True
-) -> Optional[Assignment]:
+def spa1_partition(taskset: TaskSet, n_cores: int) -> Optional[Assignment]:
     """SPA1: Theta-fill in increasing-priority order; all tasks must be light.
 
     Returns ``None`` when the light-task precondition fails or the fill
-    overflows the platform.  ``incremental`` picks the context flavor
-    used as the per-core container (no behavioral difference — SPA runs
-    no RTA probes).
+    overflows the platform.
     """
     _require_priorities(taskset)
     if len(taskset) == 0:
@@ -226,7 +218,7 @@ def spa1_partition(
     order = sorted(
         taskset, key=lambda t: t.priority, reverse=True  # type: ignore[arg-type]
     )
-    fill = _SpaFill(list(range(n_cores)), theta, incremental=incremental)
+    fill = _SpaFill(list(range(n_cores)), theta)
     for task in order:
         if not fill.place(task):
             return None
@@ -235,9 +227,7 @@ def spa1_partition(
     return assignment
 
 
-def spa2_partition(
-    taskset: TaskSet, n_cores: int, incremental: bool = True
-) -> Optional[Assignment]:
+def spa2_partition(taskset: TaskSet, n_cores: int) -> Optional[Assignment]:
     """SPA2: pre-assign heavy tasks to dedicated processors, SPA1 the rest."""
     _require_priorities(taskset)
     if len(taskset) == 0:
@@ -273,7 +263,7 @@ def spa2_partition(
             key=lambda t: t.priority,  # type: ignore[arg-type]
             reverse=True,
         )
-        fill = _SpaFill(remaining_cores, theta, incremental=incremental)
+        fill = _SpaFill(remaining_cores, theta)
         for task in order:
             if not fill.place(task):
                 return None

@@ -93,9 +93,8 @@ class CheckContext:
     duration: int = 0
     overhead_ns: Optional[List[int]] = None
     busy_ns: Optional[List[int]] = None
-    #: The run's :class:`~repro.energy.model.EnergyLedger`; ``None`` or
-    #: an empty ledger (legacy producers) makes the energy-ledger
-    #: checker skip.
+    #: The run's :class:`~repro.energy.model.EnergyLedger`; ``None``
+    #: makes the energy-ledger checker skip.
     energy: Optional[object] = None
     task_stats: Optional[Dict[str, object]] = None
     misses: Optional[List[object]] = None
@@ -633,16 +632,11 @@ def _check_energy_ledger(ctx: CheckContext) -> List[TraceViolation]:
     Given only the per-core ``busy_ns``/``overhead_ns`` counters and the
     horizon, every ledger field is forced (idle time, then each energy
     as time x recorded power level, then the per-core total) — see
-    :func:`repro.energy.model.check_energy_ledger`.  Skips producers
-    that don't account energy (``energy`` absent or empty).
+    :func:`repro.energy.model.check_energy_ledger`.  Skips partial
+    contexts that carry no ledger or counters.
     """
     energy = ctx.energy
-    if (
-        energy is None
-        or getattr(energy, "is_empty", True)
-        or ctx.busy_ns is None
-        or ctx.overhead_ns is None
-    ):
+    if energy is None or ctx.busy_ns is None or ctx.overhead_ns is None:
         return []
     from repro.energy.model import check_energy_ledger
 

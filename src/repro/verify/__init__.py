@@ -8,7 +8,7 @@ Entry points:
   invariant checker;
 * :func:`~repro.verify.harness.run_harness` — seeded random trials plus
   metamorphic mutations;
-* :func:`~repro.verify.differential.run_differential_suite` — the ten
+* :func:`~repro.verify.differential.run_differential_suite` — the eight
   independent-implementation agreement checks;
 * :func:`~repro.verify.shrink.shrink_scenario` /
   :func:`~repro.verify.shrink.write_repro` — minimize a failing scenario
@@ -18,12 +18,10 @@ Entry points:
 from repro.verify.differential import (
     DIFFERENTIAL_PAIRS,
     assignment_to_canonical,
-    batch_vs_scratch,
+    batch_vs_scalar,
+    context_vs_oracle,
     cross_class_sanity,
-    empty_plan_vs_no_plan,
     freq1_vs_unscaled,
-    incremental_vs_scratch,
-    legacy_vs_plugin,
     replay_vs_synthetic,
     result_to_canonical,
     run_differential_suite,
@@ -65,14 +63,12 @@ __all__ = [
     "ShrinkResult",
     "TrialFailure",
     "assignment_to_canonical",
-    "batch_vs_scratch",
+    "batch_vs_scalar",
     "check_scenario",
+    "context_vs_oracle",
     "cross_class_sanity",
-    "empty_plan_vs_no_plan",
     "freq1_vs_unscaled",
     "full_check",
-    "incremental_vs_scratch",
-    "legacy_vs_plugin",
     "load_repro",
     "metamorphic_checks",
     "random_scenario",

@@ -1,6 +1,6 @@
 """Differential cross-checks: independent implementations must agree.
 
-Ten pairs, each exercising a different redundancy in the codebase:
+Eight pairs, each exercising a different redundancy in the codebase:
 
 * **sim-vs-oracle** — a zero-overhead :class:`KernelSim` run on one core
   must agree with the analytical time-demand oracle
@@ -8,29 +8,21 @@ Ten pairs, each exercising a different redundancy in the codebase:
   synchronous periodic FP task set misses a deadline;
 * **serial-vs-parallel** — the experiment engine must produce identical
   payloads with ``jobs=1`` and ``jobs=2`` for the same units;
-* **empty-plan-vs-no-plan** — ``faults=FaultPlan()`` (all defaults) must
-  leave every field of :class:`SimulationResult` bit-identical to
-  ``faults=None``;
 * **tick-vs-event** — when every release instant is a multiple of the
   tick, deferring release processing to tick boundaries is a no-op, so
   tick-driven and event-driven runs must be bit-identical;
-* **incremental-vs-scratch** — every partitioner run on the incremental
-  analysis contexts (:mod:`repro.analysis.incremental`) must produce a
-  bit-identical :class:`~repro.model.assignment.Assignment` to the same
-  run on the from-scratch contexts, over seeded random task sets across
-  the utilization grid;
-* **batch-vs-scratch** — the struct-of-arrays batch kernels
+* **context-vs-oracle** — the per-core analysis contexts the
+  partitioners probe (:mod:`repro.analysis.incremental`) must agree with
+  the untouched per-entry oracles (:mod:`repro.analysis.rta`,
+  :mod:`repro.analysis.edf`) on every verdict, response and maximal
+  budget, over seeded random probe / commit / install / remove / clone /
+  budget-search sequences;
+* **batch-vs-scalar** — the struct-of-arrays batch kernels
   (:mod:`repro.analysis.batch`) must produce bit-identical accept/reject
-  vectors (FP-TS included, via its FFD prefilter) to the from-scratch
-  scalar contexts on whole populations, and
-  the batched RTA fixed point must return the identical integer response
-  times as the scalar analyzer on every accepted core;
-* **legacy-vs-plugin** — :class:`~repro.kernel.legacy.LegacyKernelSim`
-  (a frozen snapshot of the monolithic pre-plugin simulator) must
-  produce bit-identical full-granularity results — every counter,
-  per-task stat, miss, trace segment, event, and fault-log entry — to
-  the scheduling-class-based :class:`~repro.kernel.sim.KernelSim`, over
-  both policies, the fault-plan matrix, and every overrun policy;
+  vectors (FP-TS included, via its FFD prefilter) to the scalar
+  partitioners on whole populations, and the batched RTA fixed point
+  must return the identical integer response times as the scalar
+  analyzer on every accepted core;
 * **cross-class-sanity** — trace-level laws relating scheduling classes:
   global EDF never leaves a core idle while a job waits in the shared
   ready queue (work conservation, reconstructed from the event log and
@@ -48,7 +40,7 @@ Ten pairs, each exercising a different redundancy in the codebase:
   energy ledger, and balance that ledger on both sides.
 
 Every check returns a list of human-readable discrepancy strings; empty
-means the pair agrees.  :func:`run_differential_suite` runs all ten.
+means the pair agrees.  :func:`run_differential_suite` runs all eight.
 """
 
 from __future__ import annotations
@@ -67,9 +59,9 @@ def result_to_canonical(result) -> dict:
 
     Full granularity: counters, per-task statistics, every miss, the
     complete segment trace and event log, and the fault log.  The
-    energy ledger is deliberately excluded (the frozen legacy simulator
-    does not account energy); pairs that care about it — freq1-vs-
-    unscaled — compare ``result.energy`` explicitly.
+    energy ledger is excluded (the frozen pre-plugin matrix
+    ``tests/golden/legacy_matrix.json`` predates it); pairs that care
+    about it — freq1-vs-unscaled — compare ``result.energy`` explicitly.
     """
     return {
         "duration": result.duration,
@@ -245,17 +237,6 @@ def _simulate_for_identity(
     return result
 
 
-def empty_plan_vs_no_plan(seed: int = 0) -> List[str]:
-    """``faults=FaultPlan()`` must be bit-identical to ``faults=None``."""
-    from repro.faults.plan import FaultPlan
-
-    without = result_to_canonical(_simulate_for_identity(seed, faults=None))
-    with_empty = result_to_canonical(
-        _simulate_for_identity(seed, faults=FaultPlan())
-    )
-    return _diff_canonical(without, with_empty, "no-plan", "empty-plan")
-
-
 def tick_vs_event(seed: int = 0) -> List[str]:
     """Tick-driven release processing is a no-op on tick-aligned releases.
 
@@ -320,60 +301,280 @@ def assignment_to_canonical(assignment) -> dict:
     }
 
 
-#: Algorithms with a real incremental/scratch analysis path (the global
-#: tests have no per-core analysis; SPA2 covers the SPA container use).
-_INCREMENTAL_ALGORITHMS = ("FP-TS", "PDMS", "C=D", "SPA2", "FFD", "WFD", "P-EDF")
+#: Periods (ns) of the context-vs-oracle entries: 1-20 ms, so a 100 µs
+#: tick is a real but not dominant perturbation.
+_CVO_PERIODS = tuple(ms * MS for ms in (1, 2, 4, 5, 8, 10, 20))
+_CVO_GRAIN = 10 * US
 
 
-def incremental_vs_scratch(trials: int = 20, seed: int = 0) -> List[str]:
-    """Partitioners on incremental vs. from-scratch analysis contexts.
+class _CvoEntries:
+    """Seeded random core entries (normal, body and tail) for one trial."""
 
-    Draws seeded random task sets across the utilization grid (alternating
-    zero and paper-calibrated overhead models) and asserts that every
-    algorithm's assignment — accept/reject verdict, every entry's budget,
-    deadline, jitter, rank, local priority, and the split registry — is
-    bit-identical between ``incremental=True`` and ``incremental=False``.
+    def __init__(self, rng: random.Random) -> None:
+        self.rng = rng
+        self.serial = 0
+        self.body_rank = 0
+
+    def task(self, wcet_cap: float):
+        from repro.model.task import Task
+
+        rng = self.rng
+        self.serial += 1
+        period = rng.choice(_CVO_PERIODS)
+        deadline = rng.choice((period, rng.randint(period // 2, period)))
+        grains = max(1, int(wcet_cap * deadline) // _CVO_GRAIN)
+        return Task(
+            f"t{self.serial}",
+            wcet=_CVO_GRAIN * rng.randint(1, grains),
+            period=period,
+            deadline=deadline,
+            priority=period // US,
+        )
+
+    @staticmethod
+    def piece(task, kind, budget, deadline, jitter=0, body_rank=0):
+        from repro.model.assignment import Entry, EntryKind
+        from repro.model.split import Subtask
+
+        if kind == EntryKind.NORMAL:
+            return Entry(kind, task, 0, task.wcet)
+        index = 0 if kind == EntryKind.BODY else 1
+        return Entry(
+            kind,
+            task,
+            0,
+            budget,
+            subtask=Subtask(task, index, 0, budget, 2),
+            deadline=deadline,
+            jitter=jitter,
+            body_rank=body_rank,
+        )
+
+    def entry(self, wcet_cap: float = 0.35):
+        """One fresh entry of a random kind.  Tails may carry so much
+        jitter that their budget exceeds their local deadline."""
+        from repro.model.assignment import EntryKind
+
+        rng = self.rng
+        task = self.task(wcet_cap)
+        kind = rng.choice(
+            (EntryKind.NORMAL, EntryKind.NORMAL, EntryKind.BODY, EntryKind.TAIL)
+        )
+        budget = _CVO_GRAIN * rng.randint(1, task.wcet // _CVO_GRAIN)
+        if kind == EntryKind.BODY:
+            self.body_rank += 1
+            return self.piece(
+                task, kind, budget, task.deadline, body_rank=self.body_rank
+            )
+        jitter = 0
+        if kind == EntryKind.TAIL:
+            jitter = _CVO_GRAIN * rng.randint(
+                0, task.deadline // _CVO_GRAIN - 1
+            )
+        return self.piece(task, kind, budget, task.deadline - jitter, jitter)
+
+    def budget_family(self):
+        """``(lo, hi, build)`` for a budget search shaped like FP-TS's
+        body search: the body's local deadline grows with its budget, up
+        to what the rest of the job leaves it, and ``build`` vetoes a
+        budget larger than that deadline."""
+        from repro.model.assignment import EntryKind
+
+        task = self.task(wcet_cap=0.9)
+        self.body_rank += 1
+        rank = self.body_rank
+        slack = self.rng.randint(0, task.deadline // 2)
+        cap = task.deadline - self.rng.randint(0, task.deadline // 4)
+
+        def build(budget: int):
+            deadline = min(cap, slack + budget)
+            if deadline < budget:
+                return None
+            return self.piece(
+                task, EntryKind.BODY, budget, deadline, body_rank=rank
+            )
+
+        return self.rng.randint(1, max(1, task.wcet // 4)), task.wcet, build
+
+
+def _cvo_oracle(flavor: str, tick_ns: int, entries, candidate):
+    """The independent verdict ``(schedulable, candidate response)``:
+    :func:`~repro.analysis.rta.core_schedulable` or
+    :func:`~repro.analysis.edf.edf_schedulable` over the full entry list.
+    EDF admission has no response; it answers ``1`` like the context."""
+    from repro.analysis.edf import edf_schedulable
+    from repro.analysis.rta import core_schedulable
+
+    everything = [*entries, candidate]
+    if flavor == "edf":
+        ok = edf_schedulable(
+            [(e.budget, e.period, e.deadline) for e in everything]
+        )
+        return ok, (1 if ok else None)
+    analysis = core_schedulable(everything, tick_ns)
+    if not analysis.schedulable:
+        return False, None
+    return True, next(
+        r.response for r in analysis.results if r.entry is candidate
+    )
+
+
+def _cvo_state(flavor: str, tick_ns: int, ctx, residents) -> List[str]:
+    """The context holds exactly ``residents`` and, for RTA, reports the
+    oracle's response for each.  Responses are read on a clone, so their
+    re-memoization cannot heal the context under test."""
+    from repro.analysis.rta import core_schedulable
+
+    if sorted(map(id, ctx.entries)) != sorted(map(id, residents)):
+        return [
+            f"residents {[e.name for e in ctx.entries]} != expected "
+            f"{[e.name for e in residents]}"
+        ]
+    problems = []
+    expected = sum(e.utilization for e in residents)
+    if abs(ctx.utilization - expected) > 1e-9:
+        problems.append(f"utilization {ctx.utilization} != {expected}")
+    if flavor == "rta":
+        got = [(e.name, r) for e, r in ctx.clone().responses()]
+        want = [
+            (result.entry.name, result.response)
+            for result in core_schedulable(residents, tick_ns).results
+        ]
+        if got != want:
+            problems.append(f"responses {got} != oracle {want}")
+    return problems
+
+
+def _cvo_trial(flavor: str, tick_ns: int, rng: random.Random, steps: int):
+    """One seeded op sequence; the first discrepancy, or ``None``."""
+    from repro.analysis.incremental import (
+        AnalysisStats,
+        CoreAnalysisContext,
+        EdfCoreContext,
+    )
+
+    stats = AnalysisStats()
+    if flavor == "edf":
+        ctx = EdfCoreContext(precheck_cd=rng.random() < 0.5, stats=stats)
+    else:
+        ctx = CoreAnalysisContext(tick_ns=tick_ns, stats=stats)
+    entries = _CvoEntries(rng)
+    residents: list = []
+
+    def oracle(candidate):
+        if candidate is None:  # vetoed by the budget search's builder
+            return False, None
+        return _cvo_oracle(flavor, tick_ns, residents, candidate)
+
+    ops = ("probe", "commit", "install", "remove", "clone", "probe_budget")
+    for step in range(steps):
+        op = rng.choices(ops, weights=(3, 3, 1, 1, 1, 2))[0]
+        where = f"step {step} ({op})"
+        if op in ("probe", "commit"):
+            candidate = entries.entry()
+            ok, want = oracle(candidate)
+            # A commit either reuses the preceding probe or probes anew.
+            if op == "probe" or rng.random() < 0.5:
+                pre = ctx.prepare(candidate) if rng.random() < 0.5 else None
+                got = ctx.probe(candidate, pre=pre)
+                if got != want:
+                    return f"{where}: probe {candidate} -> {got}, oracle {want}"
+            if op == "commit":
+                try:
+                    got = ctx.commit(candidate)
+                except ValueError:
+                    got = None
+                if got != want:
+                    return (
+                        f"{where}: commit {candidate} -> {got}, oracle {want}"
+                    )
+                if ok:
+                    residents.append(candidate)
+        elif op == "install":
+            # Partitioners install only pieces whose feasibility they
+            # established, with or without the known response.
+            candidate = entries.entry()
+            ok, want = oracle(candidate)
+            if ok:
+                ctx.install(candidate, want if rng.random() < 0.5 else None)
+                residents.append(candidate)
+        elif op == "remove" and residents:
+            ctx.remove(residents.pop(rng.randrange(len(residents))))
+        elif op == "clone":
+            copy = ctx.clone()
+            if residents and rng.random() < 0.5:
+                copy.remove(residents[-1])
+            else:
+                copy.install(entries.entry(wcet_cap=0.05))
+            problems = _cvo_state(flavor, tick_ns, ctx, residents)
+            if problems:
+                return f"{where}: editing the clone changed the original: " + (
+                    "; ".join(problems)
+                )
+            if rng.random() < 0.5:
+                ctx = ctx.clone()
+        elif op == "probe_budget":
+            lo, hi, build = entries.budget_family()
+            best, response = ctx.probe_budget(lo, hi, build)
+            if best is None:
+                if oracle(build(lo))[0]:
+                    return f"{where}: no budget found, but {lo} is feasible"
+                continue
+            winner = build(best)
+            ok, want = oracle(winner)
+            if not ok or response != want:
+                return (
+                    f"{where}: budget {best} in [{lo}, {hi}] answered "
+                    f"{response}, oracle {want if ok else 'infeasible'}"
+                )
+            if best < hi and oracle(build(best + 1))[0]:
+                return (
+                    f"{where}: budget {best} in [{lo}, {hi}] is not "
+                    f"maximal: {best + 1} is feasible"
+                )
+            if rng.random() < 0.5:  # FP-TS installs the winning piece
+                ctx.install(winner, response)
+                residents.append(winner)
+        problems = _cvo_state(flavor, tick_ns, ctx, residents)
+        if problems:
+            return f"{where}: " + "; ".join(problems)
+    return None
+
+
+def context_vs_oracle(trials: int = 20, seed: int = 0) -> List[str]:
+    """Per-core analysis contexts vs. the untouched per-entry oracles.
+
+    Each trial drives one context through a seeded random sequence of
+    ``probe`` / ``commit`` / ``install`` / ``remove`` / ``clone`` /
+    ``probe_budget`` calls over normal, body and tail entries.  Trials
+    cycle through :class:`~repro.analysis.incremental.CoreAnalysisContext`
+    at ``tick_ns`` 0 and 100 µs and
+    :class:`~repro.analysis.incremental.EdfCoreContext`.  After every step:
+
+    * each probe and commit verdict and response equals
+      :func:`~repro.analysis.rta.core_schedulable` (or
+      :func:`~repro.analysis.edf.edf_schedulable`) on the context's
+      current entries plus the candidate;
+    * a ``probe_budget`` answer ``b`` is feasible with the oracle's
+      response, and ``b + 1`` is not, unless ``b`` is the upper bound;
+    * the context holds exactly the expected entries, and (RTA) their
+      exact responses equal the oracle's.
+
+    The partitioners reach the analysis only through this API, so
+    probe-level agreement implies they build the assignments the oracle
+    would.
     """
-    from repro.experiments.algorithms import build_assignment
-
     diffs: List[str] = []
     rng = random.Random(seed)
+    flavors = (("rta", 0), ("rta", 100 * US), ("edf", 0))
     for trial in range(trials):
-        n_cores = rng.choice((2, 4))
-        n_tasks = rng.randint(6, 12)
-        utilization = rng.uniform(0.55, 0.95) * n_cores
-        model = (
-            OverheadModel.zero()
-            if trial % 2 == 0
-            else OverheadModel.paper_core_i7(n_cores)
-        )
-        generator = TaskSetGenerator(
-            n_tasks=n_tasks,
-            seed=rng.randint(0, 10**6),
-            period_min=5 * MS,
-            period_max=100 * MS,
-        )
-        taskset = generator.generate(utilization)
-        for algorithm in _INCREMENTAL_ALGORITHMS:
-            fast = assignment_to_canonical(
-                build_assignment(
-                    algorithm, taskset, n_cores, model, incremental=True
-                )
+        flavor, tick_ns = flavors[trial % len(flavors)]
+        trial_rng = random.Random(rng.randrange(2**32))
+        problem = _cvo_trial(flavor, tick_ns, trial_rng, steps=40)
+        if problem is not None:
+            diffs.append(
+                f"trial {trial} ({flavor}, tick={tick_ns}): {problem}"
             )
-            reference = assignment_to_canonical(
-                build_assignment(
-                    algorithm, taskset, n_cores, model, incremental=False
-                )
-            )
-            if fast != reference:
-                detail = _diff_canonical(
-                    fast, reference, "incremental", "scratch"
-                )
-                diffs.append(
-                    f"trial {trial} ({algorithm}, m={n_cores}, "
-                    f"U={utilization:.3f}): assignments differ: "
-                    + "; ".join(detail[:3])
-                )
     return diffs
 
 
@@ -383,8 +584,8 @@ def incremental_vs_scratch(trials: int = 20, seed: int = 0) -> List[str]:
 _BATCH_ALGORITHMS = ("FFD", "WFD", "BFD", "NFD", "P-EDF", "FP-TS")
 
 
-def batch_vs_scratch(trials: int = 20, seed: int = 0) -> List[str]:
-    """Batched struct-of-arrays analysis vs. the from-scratch scalar path.
+def batch_vs_scalar(trials: int = 20, seed: int = 0) -> List[str]:
+    """Batched struct-of-arrays analysis vs. the scalar partitioners.
 
     Each trial draws a whole population of seeded task sets (alternating
     zero and paper-calibrated overhead models), packs it into aligned
@@ -392,9 +593,7 @@ def batch_vs_scratch(trials: int = 20, seed: int = 0) -> List[str]:
 
     * the batch accept/reject vector of every batchable algorithm, and
       of FP-TS (the FFD row plus the split search on the lanes FFD
-      rejects), equals the per-set verdicts of the scalar partitioners
-      on from-scratch contexts (``incremental=False`` — the most
-      independent reference);
+      rejects), equals the per-set verdicts of the scalar partitioners;
     * on every core of every accepted FFD assignment, the batched RTA
       fixed point returns the identical integer response times as the
       scalar :func:`~repro.analysis.rta.core_schedulable`.
@@ -436,9 +635,7 @@ def batch_vs_scratch(trials: int = 20, seed: int = 0) -> List[str]:
                 algorithm, population, n_cores, model=model
             )
             scalar = [
-                build_assignment(
-                    algorithm, ts, n_cores, model, incremental=False
-                )
+                build_assignment(algorithm, ts, n_cores, model)
                 for ts in tasksets
             ]
             if algorithm == "FFD":
@@ -448,7 +645,7 @@ def batch_vs_scratch(trials: int = 20, seed: int = 0) -> List[str]:
                 diffs.append(
                     f"trial {trial} ({algorithm}, m={n_cores}, "
                     f"U={utilization:.3f}): batch verdicts "
-                    f"{batch_verdicts} != scratch {scalar_verdicts}"
+                    f"{batch_verdicts} != scalar {scalar_verdicts}"
                 )
         # Response-time identity on the accepted FFD assignments: batch
         # every core (padded to the widest) and compare integers.
@@ -489,7 +686,7 @@ def batch_vs_scratch(trials: int = 20, seed: int = 0) -> List[str]:
 
 
 def _fault_plan(kind: str, seed: int):
-    """The fault-plan matrix the legacy/plugin identity runs over."""
+    """The fault-plan matrix of the identity scenarios."""
     from repro.faults.plan import FaultPlan, TaskFaults
 
     if kind == "none":
@@ -533,69 +730,6 @@ def _accepted_assignment(algorithm: str, seed: int, utilization: float = 1.2):
         if assignment is not None:
             return candidate, assignment
     return None, None
-
-
-def legacy_vs_plugin(trials: int = 20, seed: int = 0) -> List[str]:
-    """Frozen pre-plugin simulator vs. the scheduling-class refactor.
-
-    The FP and EDF plugin classes must reproduce the monolithic
-    simulator's event streams *bit-for-bit* — same ``seq``-ordered queue
-    operations, same traces, same fault decisions — across the fault
-    matrix (no faults / overrun+jitter / everything on) and all three
-    overrun policies.  This is the refactor's non-regression anchor: any
-    reordering of queue ops, RNG draws, or same-instant event handling
-    shows up as a first-diff here.
-    """
-    from repro.faults.plan import OVERRUN_POLICIES
-    from repro.kernel.legacy import LegacyKernelSim
-    from repro.kernel.sim import KernelSim
-
-    combos = [
-        (policy, plan_kind, overrun_policy)
-        for policy in ("fp", "edf")
-        for plan_kind in ("none", "moderate", "full")
-        for overrun_policy in OVERRUN_POLICIES
-    ]
-    diffs: List[str] = []
-    for trial in range(trials):
-        policy, plan_kind, overrun_policy = combos[trial % len(combos)]
-        run_seed = seed + trial
-        algorithm = "FP-TS" if policy == "fp" else "C=D"
-        taskset, assignment = _accepted_assignment(algorithm, run_seed)
-        if assignment is None:
-            diffs.append(
-                f"trial {trial}: no accepted {algorithm} task set "
-                f"from seed {run_seed}"
-            )
-            continue
-        duration = 4 * max(t.period for t in taskset)
-        kwargs = dict(
-            record_trace=True,
-            policy=policy,
-            sporadic_jitter=MS,
-            execution_variation=0.3,
-            seed=run_seed,
-            faults=_fault_plan(plan_kind, run_seed),
-            overrun_policy=overrun_policy,
-        )
-        legacy = result_to_canonical(
-            LegacyKernelSim(
-                assignment, OverheadModel.paper_core_i7(2), duration, **kwargs
-            ).run()
-        )
-        kwargs["faults"] = _fault_plan(plan_kind, run_seed)  # fresh RNG
-        plugin = result_to_canonical(
-            KernelSim(
-                assignment, OverheadModel.paper_core_i7(2), duration, **kwargs
-            ).run()
-        )
-        detail = _diff_canonical(legacy, plugin, "legacy", "plugin")
-        if detail:
-            diffs.append(
-                f"trial {trial} ({policy}, faults={plan_kind}, "
-                f"overrun={overrun_policy}): " + "; ".join(detail[:3])
-            )
-    return diffs
 
 
 def _merged_intervals(intervals):
@@ -892,11 +1026,9 @@ def freq1_vs_unscaled(trials: int = 6, seed: int = 0) -> List[str]:
 DIFFERENTIAL_PAIRS = (
     "sim-vs-oracle",
     "serial-vs-parallel",
-    "empty-plan-vs-no-plan",
     "tick-vs-event",
-    "incremental-vs-scratch",
-    "batch-vs-scratch",
-    "legacy-vs-plugin",
+    "context-vs-oracle",
+    "batch-vs-scalar",
     "cross-class-sanity",
     "replay-vs-synthetic",
     "freq1-vs-unscaled",
@@ -906,17 +1038,13 @@ DIFFERENTIAL_PAIRS = (
 def run_differential_suite(
     seed: int = 0, trials: int = 20, jobs: int = 2
 ) -> Dict[str, List[str]]:
-    """Run all ten pairs; maps pair name to its discrepancy list."""
+    """Run all eight pairs; maps pair name to its discrepancy list."""
     return {
         "sim-vs-oracle": sim_vs_oracle(trials=trials, seed=seed),
         "serial-vs-parallel": serial_vs_parallel(seed=seed, jobs=jobs),
-        "empty-plan-vs-no-plan": empty_plan_vs_no_plan(seed=seed),
         "tick-vs-event": tick_vs_event(seed=seed),
-        "incremental-vs-scratch": incremental_vs_scratch(
-            trials=trials, seed=seed
-        ),
-        "batch-vs-scratch": batch_vs_scratch(trials=trials, seed=seed),
-        "legacy-vs-plugin": legacy_vs_plugin(trials=trials, seed=seed),
+        "context-vs-oracle": context_vs_oracle(trials=trials, seed=seed),
+        "batch-vs-scalar": batch_vs_scalar(trials=trials, seed=seed),
         "cross-class-sanity": cross_class_sanity(
             trials=max(1, trials // 2), seed=seed
         ),

@@ -1,7 +1,10 @@
 """Regression pin: an empty FaultPlan must be *observationally
 invisible* — bit-identical SimulationResults — under every overrun
 policy, including stochastic runs where any stray RNG draw by the fault
-layer would desynchronize the streams."""
+layer would desynchronize the streams.  Besides a fixed four-task set,
+the generated 8-task FP-TS scenario of the ``tick-vs-event``
+differential pair runs at seeds 2 and 3 with every stochastic path on
+(sporadic jitter, execution variation, paper overheads)."""
 
 from __future__ import annotations
 
@@ -15,6 +18,7 @@ from repro.model.taskset import TaskSet
 from repro.model.time import MS
 from repro.overhead.model import OverheadModel
 from repro.verify import result_to_canonical
+from repro.verify.differential import _simulate_for_identity
 
 
 def _run(faults, overrun_policy):
@@ -43,10 +47,26 @@ def _run(faults, overrun_policy):
     ).run()
 
 
-@pytest.mark.parametrize("overrun_policy", sorted(OVERRUN_POLICIES))
-def test_empty_plan_identical_to_no_plan(overrun_policy):
-    without = result_to_canonical(_run(None, overrun_policy))
-    with_empty = result_to_canonical(_run(FaultPlan(), overrun_policy))
+#: Scenario name -> ``faults -> SimulationResult``.
+_SCENARIOS = {
+    **{
+        policy: lambda faults, policy=policy: _run(faults, policy)
+        for policy in OVERRUN_POLICIES
+    },
+    **{
+        f"generated-fpts-seed{seed}": (
+            lambda faults, seed=seed: _simulate_for_identity(seed, faults)
+        )
+        for seed in (2, 3)
+    },
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(_SCENARIOS))
+def test_empty_plan_identical_to_no_plan(scenario):
+    simulate = _SCENARIOS[scenario]
+    without = result_to_canonical(simulate(None))
+    with_empty = result_to_canonical(simulate(FaultPlan()))
     assert without == with_empty
 
 

@@ -384,3 +384,27 @@ class TestCheckEnergyLedger:
             result.duration,
         )
         assert problems != []
+
+    def test_empty_ledger_is_a_core_count_mismatch(self):
+        problems = check_energy_ledger(EnergyLedger.empty(), [5, 5], [1, 1], 100)
+        assert "ledger has 0 cores, run has 2" in problems
+
+    def test_checker_reports_empty_ledger_and_skips_missing_one(self):
+        def context(energy):
+            return CheckContext(
+                trace=[],
+                assignment=None,
+                duration=100,
+                busy_ns=[5, 5],
+                overhead_ns=[1, 1],
+                energy=energy,
+            )
+
+        details = [
+            violation.detail
+            for violation in run_checkers(
+                context(EnergyLedger.empty()), ["energy-ledger"]
+            )
+        ]
+        assert "ledger has 0 cores, run has 2" in details
+        assert run_checkers(context(None), ["energy-ledger"]) == []

@@ -64,12 +64,8 @@ def test_fpts_equals_ffd_whenever_ffd_accepts(n_cores):
     ffd_accepts = fpts_splits = 0
     for model in _models(n_cores):
         for taskset in _tasksets(n_cores, seed=100 + n_cores):
-            ffd = build_assignment(
-                "FFD", taskset, n_cores, model, incremental=False
-            )
-            fpts = build_assignment(
-                "FP-TS", taskset, n_cores, model, incremental=False
-            )
+            ffd = build_assignment("FFD", taskset, n_cores, model)
+            fpts = build_assignment("FP-TS", taskset, n_cores, model)
             if ffd is None:
                 fpts_splits += fpts is not None
                 continue

@@ -6,11 +6,11 @@ refactor is behaviour-preserving and that the new classes are sound:
 * **contract tests** — the registry, binding lifecycle, key-space
   layout, and the constructor guards (global-rm priorities, fair task
   collisions, resource-sharing restrictions);
-* **legacy-vs-plugin differential** — the frozen pre-plugin simulator
-  (:class:`repro.kernel.legacy.LegacyKernelSim`) and the plugin-based
-  :class:`~repro.kernel.sim.KernelSim` must agree *bit-for-bit* at full
-  trace granularity, across both policies, the fault matrix, and every
-  overrun policy;
+* **legacy-vs-plugin** — the plugin-based
+  :class:`~repro.kernel.sim.KernelSim` must reproduce the frozen output
+  of the deleted pre-plugin simulator (``tests/golden/legacy_matrix.json``)
+  *bit-for-bit* at full trace granularity, across both policies, the
+  fault matrix, and every overrun policy;
 * **metamorphic mutations** — integer time-scaling maps a deterministic
   zero-overhead schedule to its exactly-scaled image for the fp and
   global classes;
@@ -26,6 +26,10 @@ keys) and the ``cross-class-sanity`` differential pair.
 
 from __future__ import annotations
 
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.experiments.algorithms import ALGORITHMS, build_assignment
@@ -35,7 +39,6 @@ from repro.kernel import (
     FAIR_KEY_BASE,
     SCHED_CLASSES,
     KernelSim,
-    LegacyKernelSim,
     SchedulingClass,
     build_global_assignment,
     make_sched_class,
@@ -47,11 +50,8 @@ from repro.model.taskset import TaskSet
 from repro.model.time import MS
 from repro.overhead.model import OverheadModel
 from repro.trace.validate import CheckContext, run_checkers
-from repro.verify import (
-    cross_class_sanity,
-    legacy_vs_plugin,
-    result_to_canonical,
-)
+from repro.verify import cross_class_sanity, result_to_canonical
+from repro.verify.differential import _accepted_assignment, _fault_plan
 
 
 def _splitting_taskset() -> TaskSet:
@@ -172,53 +172,144 @@ class TestContract:
 
 
 # ----------------------------------------------------------------------
-# Legacy-vs-plugin differential (the seventh pair)
+# Legacy-vs-plugin: the frozen pre-plugin matrix
 # ----------------------------------------------------------------------
+
+#: Frozen output of ``LegacyKernelSim``, the monolithic simulator that
+#: predated the scheduling-class layer, generated immediately before that
+#: simulator was deleted.  It covers every run the retired
+#: ``legacy-vs-plugin`` differential pair made in the test suite and CI:
+#: generated FP-TS (``fp``) and C=D (``edf``) task sets over the fault
+#: matrix and all overrun policies at base seed 0 x 36 trials, 1 x 5 and
+#: 3 x 100 (trial ``t`` of base seed ``s`` runs combination ``t mod 18``
+#: at seed ``s + t``), plus one forced-overrun split run per overrun
+#: policy.  Each entry stores the run's key, the sha256 of its compact
+#: sort-keyed canonical result, and the scalar counters, so a mismatch
+#: names what moved.  The producer is gone, so the file cannot be
+#: regenerated: a failure is a behaviour change of ``KernelSim``.
+LEGACY_MATRIX = json.loads(
+    (Path(__file__).parent / "golden" / "legacy_matrix.json").read_text()
+)
+
+#: (policy, fault plan, overrun policy) in the order trials cycle through.
+_LEGACY_COMBOS = [
+    (policy, plan_kind, overrun_policy)
+    for policy in ("fp", "edf")
+    for plan_kind in ("none", "moderate", "full")
+    for overrun_policy in OVERRUN_POLICIES
+]
+_LEGACY_RUNS = ((0, 36), (1, 5), (3, 100))  # (base seed, trials)
+_FORCED_SEED = 5
+
+
+def _legacy_keys():
+    """Every frozen (policy, fault plan, overrun policy, seed)."""
+    keys = []
+    for base_seed, trials in _LEGACY_RUNS:
+        for trial in range(trials):
+            combo = _LEGACY_COMBOS[trial % len(_LEGACY_COMBOS)]
+            key = (*combo, base_seed + trial)
+            if key not in keys:
+                keys.append(key)
+    for overrun_policy in OVERRUN_POLICIES:
+        keys.append(("fp", "forced-overrun", overrun_policy, _FORCED_SEED))
+    return keys
+
+
+def _legacy_key(entry: dict) -> tuple:
+    return (
+        entry["policy"],
+        entry["faults"],
+        entry["overrun_policy"],
+        entry["seed"],
+    )
+
+
+def _legacy_run(policy, plan_kind, overrun_policy, seed):
+    """Re-run one frozen key through :class:`KernelSim`."""
+    if plan_kind == "forced-overrun":
+        # Deterministic overruns on the split task of a 3 x 0.6 set.
+        _taskset, assignment = _split_assignment()
+        plan = FaultPlan(
+            tasks={
+                "a": TaskFaults(overrun_factor=1.5, overrun_probability=1.0)
+            },
+            migration_delay_probability=0.5,
+            migration_delay_ns=50_000,
+            seed=7,
+        )
+        return KernelSim(
+            assignment,
+            OverheadModel.paper_core_i7(2),
+            80 * MS,
+            record_trace=True,
+            seed=seed,
+            faults=plan,
+            overrun_policy=overrun_policy,
+        ).run()
+    algorithm = "FP-TS" if policy == "fp" else "C=D"
+    taskset, assignment = _accepted_assignment(algorithm, seed)
+    assert assignment is not None, f"no accepted {algorithm} set, seed {seed}"
+    return KernelSim(
+        assignment,
+        OverheadModel.paper_core_i7(2),
+        4 * max(t.period for t in taskset),
+        record_trace=True,
+        policy=policy,
+        sporadic_jitter=MS,
+        execution_variation=0.3,
+        seed=seed,
+        faults=_fault_plan(plan_kind, seed),
+        overrun_policy=overrun_policy,
+    ).run()
+
+
+def _legacy_moved(frozen: dict, result) -> dict:
+    """Fields of a frozen entry that ``result`` no longer reproduces."""
+    canonical = json.dumps(
+        result_to_canonical(result), sort_keys=True, separators=(",", ":")
+    )
+    fresh = {
+        "sha256": hashlib.sha256(canonical.encode()).hexdigest(),
+        "switches": result.context_switches,
+        "preemptions": result.preemptions,
+        "migrations": result.migrations,
+        "releases": result.releases,
+        "misses": result.miss_count,
+        "busy_ns": list(result.busy_ns),
+        "overhead_ns": list(result.overhead_ns),
+    }
+    return {
+        field: (frozen[field], value)
+        for field, value in fresh.items()
+        if frozen[field] != value
+    }
 
 
 class TestLegacyVsPlugin:
+    def test_matrix_covers_every_frozen_run(self):
+        assert [_legacy_key(e) for e in LEGACY_MATRIX] == _legacy_keys()
+
     def test_full_matrix_pair(self):
-        """All 18 (policy, fault-plan, overrun-policy) combinations."""
-        assert legacy_vs_plugin(trials=18, seed=0) == []
+        """Every generated run: both policies, the fault matrix, every
+        overrun policy, 141 seeds."""
+        moved = {}
+        for frozen in LEGACY_MATRIX:
+            key = _legacy_key(frozen)
+            if key[1] != "forced-overrun":
+                delta = _legacy_moved(frozen, _legacy_run(*key))
+                if delta:
+                    moved[key] = delta
+        assert not moved, f"KernelSim no longer reproduces: {moved}"
 
     @pytest.mark.parametrize("overrun_policy", OVERRUN_POLICIES)
     def test_full_trace_identity_under_forced_overruns(self, overrun_policy):
         """Deterministic overruns on a split task, per overrun policy."""
-        _taskset, assignment = _split_assignment()
-
-        def plan():
-            return FaultPlan(
-                tasks={
-                    "a": TaskFaults(
-                        overrun_factor=1.5, overrun_probability=1.0
-                    )
-                },
-                migration_delay_probability=0.5,
-                migration_delay_ns=50_000,
-                seed=7,
-            )
-
-        kwargs = dict(
-            record_trace=True,
-            seed=5,
-            overrun_policy=overrun_policy,
-        )
-        legacy = LegacyKernelSim(
-            assignment,
-            OverheadModel.paper_core_i7(2),
-            80 * MS,
-            faults=plan(),
-            **kwargs,
-        ).run()
-        plugin = KernelSim(
-            assignment,
-            OverheadModel.paper_core_i7(2),
-            80 * MS,
-            faults=plan(),
-            **kwargs,
-        ).run()
-        assert result_to_canonical(legacy) == result_to_canonical(plugin)
-        assert legacy.faults.as_dicts(), "plan must actually inject"
+        key = ("fp", "forced-overrun", overrun_policy, _FORCED_SEED)
+        (frozen,) = [e for e in LEGACY_MATRIX if _legacy_key(e) == key]
+        result = _legacy_run(*key)
+        assert result.faults.as_dicts(), "plan must actually inject"
+        assert _legacy_moved(frozen, result) == {}
 
 
 # ----------------------------------------------------------------------

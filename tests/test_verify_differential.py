@@ -5,8 +5,8 @@ from __future__ import annotations
 
 from repro.verify import (
     DIFFERENTIAL_PAIRS,
-    batch_vs_scratch,
-    empty_plan_vs_no_plan,
+    batch_vs_scalar,
+    context_vs_oracle,
     freq1_vs_unscaled,
     run_differential_suite,
     serial_vs_parallel,
@@ -27,23 +27,24 @@ def test_serial_vs_parallel():
     assert serial_vs_parallel(seed=5, jobs=2) == []
 
 
-def test_empty_plan_vs_no_plan():
-    """An empty FaultPlan is observationally identical to no plan, at
-    full-result granularity (trace, events, counters, stats)."""
-    assert empty_plan_vs_no_plan(seed=2) == []
-
-
 def test_tick_vs_event():
     """With periods quantized to the tick, tick-driven release scanning
     reproduces the event-driven schedule exactly."""
     assert tick_vs_event(seed=4) == []
 
 
-def test_batch_vs_scratch():
+def test_context_vs_oracle():
+    """The per-core analysis contexts agree with the per-entry RTA and
+    EDF oracles on every verdict, response and maximal budget over
+    random probe/commit/install/remove/clone/budget-search sequences."""
+    assert context_vs_oracle(trials=30, seed=11) == []
+
+
+def test_batch_vs_scalar():
     """The struct-of-arrays batch kernels return bit-identical
     accept/reject vectors and per-entry response times to the scalar
     pipeline."""
-    assert batch_vs_scratch(trials=8, seed=9) == []
+    assert batch_vs_scalar(trials=8, seed=9) == []
 
 
 def test_freq1_vs_unscaled():
@@ -56,4 +57,5 @@ def test_freq1_vs_unscaled():
 def test_suite_covers_all_pairs():
     report = run_differential_suite(seed=1, trials=5, jobs=2)
     assert set(report) == set(DIFFERENTIAL_PAIRS)
+    assert len(DIFFERENTIAL_PAIRS) == 8
     assert all(diffs == [] for diffs in report.values())
