@@ -10,6 +10,15 @@ rather than :class:`Event` objects, so ``heappush``/``heappop`` compare
 plain tuples entirely in C.  ``seq`` is unique, so comparisons never reach
 the event object itself.  Event-object comparisons (``__lt__``) are kept
 only for API compatibility.
+
+Not every simulated event passes through the queue.  When a core's
+next kernel op is provably the next event — it ends within the horizon
+and strictly before the earliest queued entry — the simulator runs it
+inline (see ``KernelSim._finish_op``).  The queue would have popped it
+next anyway, so the order of events is unchanged; only the
+push and pop are saved.  A tie goes through the queue, because this
+ordering puts completions, releases and older op ends first at the
+same instant.
 """
 
 from __future__ import annotations
@@ -33,8 +42,8 @@ class Event:
     """A scheduled callback.  Use :meth:`cancel` to revoke it.
 
     ``priority`` breaks ties between events at the same instant: lower
-    values run first.  The simulator runs completions and kernel-op ends at
-    priority 0 and task releases at priority 10, so a job finishing exactly
+    values run first.  The simulator runs completions at priority 0, task
+    releases at 10 and kernel-op ends at 20, so a job finishing exactly
     when its successor is released is processed *before* the release — the
     boundary case of an exactly-deadline-filling schedule.
     """

@@ -109,6 +109,7 @@ class Job:
 
     __slots__ = (
         "rt",
+        "name",
         "release",
         "abs_deadline",
         "seq",
@@ -155,6 +156,8 @@ class Job:
                 f"{nominal_work}"
             )
         self.rt = rt
+        # ``task/seq``: the label of every trace row and ready event.
+        self.name = f"{rt.task.name}/{seq}"
         self.release = release
         self.abs_deadline = abs_deadline
         self.seq = seq
@@ -202,10 +205,6 @@ class Job:
         )
 
     @property
-    def name(self) -> str:
-        return f"{self.rt.name}/{self.seq}"
-
-    @property
     def current_stage(self) -> Stage:
         return self.stages[self.stage_index]
 
@@ -224,15 +223,23 @@ class Job:
 
     def account(self, executed: int) -> None:
         """Consume ``executed`` ns of CPU: penalty first, then budget+work."""
-        if executed < 0 or executed > self.remaining:
+        penalty = self.penalty_left
+        budget_left = self.stage_budget_left
+        work_left = self.work_left
+        remaining = penalty + (
+            budget_left if budget_left < work_left else work_left
+        )
+        if executed < 0 or executed > remaining:
             raise ValueError(
-                f"job {self.name}: accounting {executed} of {self.remaining}"
+                f"job {self.name}: accounting {executed} of {remaining}"
             )
-        from_penalty = min(self.penalty_left, executed)
-        self.penalty_left -= from_penalty
-        progress = executed - from_penalty
-        self.stage_budget_left -= progress
-        self.work_left -= progress
+        if executed <= penalty:
+            self.penalty_left = penalty - executed
+            return
+        progress = executed - penalty
+        self.penalty_left = 0
+        self.stage_budget_left = budget_left - progress
+        self.work_left = work_left - progress
 
     @property
     def chunk_done(self) -> bool:

@@ -269,7 +269,8 @@ class RestrictedMigrationClass(SchedulingClass):
             job.migrate_count += 1
             sim.migrations += 1
             sim.task_stats[name].migrations += 1
-            sim._log_event(t, "migrate", name, core.index)
+            if sim.record_trace:
+                sim.events_log.append((t, "migrate", name, core.index))
 
 
 class _GlobalClass(SchedulingClass):

@@ -32,6 +32,7 @@ import time as _time
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.energy.model import (
@@ -191,20 +192,27 @@ class SimulationResult:
 
 
 class _Op:
-    """A unit of kernel execution on one core."""
+    """A unit of kernel execution on one core.
 
-    __slots__ = ("kind", "duration", "effect", "label")
+    ``effect(core, job, t)`` runs when the op ends at ``t``; ``job`` is
+    the job the op acts on (``None`` for a scheduling pass, whose
+    ``duration`` is decided only when it starts).
+    """
+
+    __slots__ = ("kind", "duration", "effect", "job", "label")
 
     def __init__(
         self,
         kind: str,
         duration: int,
-        effect: Callable[[int], None],
+        effect: Callable[["_Core", Optional[Job], int], None],
+        job: Optional[Job],
         label: str,
     ) -> None:
         self.kind = kind
         self.duration = duration
         self.effect = effect
+        self.job = job
         self.label = label
 
 
@@ -371,7 +379,7 @@ class KernelSim:
         multiply rounded half-up.  Periods, deadlines, and release
         offsets are wall-clock and stay unscaled.  At ``f == 1`` the
         per-core model *is* the shared model (``is``-level identity),
-        which is what the ``freq1-vs-unscaled`` differential pins.
+        which ``tests/test_energy.py`` pins for every all-ones spelling.
     power:
         Optional :class:`~repro.energy.model.PowerModel` for the energy
         ledger (``P(f) = P_s + C · f^alpha``); defaults to the Nehalem-
@@ -419,8 +427,7 @@ class KernelSim:
         self.power = power if power is not None else PowerModel()
         # Per-core overhead models.  ``at_frequency(1)`` returns the
         # model itself, so at unit frequency every entry *is* the shared
-        # model — the structural identity the freq1-vs-unscaled
-        # differential relies on.
+        # model: an all-ones vector cannot move a simulated nanosecond.
         self._models = [
             overheads.at_frequency(f) for f in self.frequencies
         ]
@@ -634,6 +641,9 @@ class KernelSim:
         self._sleep_nodes: Dict[str, object] = {}
         self._job_seq = 0
         self._finished = False
+        # The one scheduling-pass op every core queues: it carries no
+        # job, and its cost is decided when it starts.
+        self._sched_op = _Op("sched", 0, self._do_sched, None, "sch")
 
     # ------------------------------------------------------------------
     # Public API
@@ -740,24 +750,22 @@ class KernelSim:
                 )
             self.queue.schedule_fast(
                 fire,
-                lambda t, rt=rt, nominal=nominal: self._on_release(
-                    rt, t, nominal
-                ),
+                partial(self._on_release, rt, nominal),
                 priority=_RELEASE_PRIORITY,
             )
 
-    def _on_release(self, rt: RTTask, t: int, nominal: Optional[int] = None) -> None:
-        if nominal is None:
-            nominal = t
+    def _on_release(self, rt: RTTask, nominal: int, t: int) -> None:
         for cls in self._classes:
             cls.on_tick(t)
+        task = rt.task
+        name = task.name
         # Schedule the next release first (periodic, or sporadic with a
         # random extra delay beyond the minimum inter-arrival).
-        next_release = nominal + rt.task.period
+        next_release = nominal + task.period
         if self.sporadic_jitter > 0:
             next_release += self._rng.randint(0, self.sporadic_jitter)
         self._schedule_release(rt, next_release)
-        previous = self._current_jobs[rt.name]
+        previous = self._current_jobs[name]
         if previous is not None and not previous.completed:
             # Overrun: previous job still active at the next release.
             # Best-effort classes don't record the miss — the unfinished
@@ -765,7 +773,7 @@ class KernelSim:
             if previous.cls.hard_deadlines:
                 self.misses.append(
                     DeadlineMiss(
-                        task=rt.name,
+                        task=name,
                         job_seq=previous.seq,
                         release=previous.release,
                         abs_deadline=previous.abs_deadline,
@@ -773,43 +781,43 @@ class KernelSim:
                         kind="overrun",
                     )
                 )
-                self._log_event(t, "overrun", rt.name, rt.home_core)
+                if self.record_trace:
+                    self.events_log.append(
+                        (t, "overrun", name, rt.home_core)
+                    )
             return  # the new release is skipped (job dropped)
-        self._job_seq += 1
+        self._job_seq = seq = self._job_seq + 1
         work, nominal_work = self._work_of(rt, t)
-        task_class = self._class_of_task[rt.name]
+        task_class = self._class_of_task[name]
         job = Job(
-            rt=rt,
-            release=nominal,
-            abs_deadline=nominal + rt.task.deadline,
-            seq=self._job_seq,
-            work=work,
-            nominal_work=nominal_work,
-            stages=task_class.plan_stages(rt, self._job_seq),
-            cls=task_class,
+            rt,
+            nominal,
+            nominal + task.deadline,
+            seq,
+            work,
+            nominal_work,
+            task_class.plan_stages(rt, seq),
+            task_class,
         )
-        name = rt.task.name
         self._current_jobs[name] = job
         self.releases += 1
         self.task_stats[name].jobs_released += 1
         if self.record_trace:
-            self._log_event(t, "release", name, rt.home_core)
+            self.events_log.append((t, "release", name, rt.home_core))
         # Sleep-queue bookkeeping: the timer removes the task from the home
         # core's sleep queue before release() inserts it into the ready queue.
-        home = self.cores[rt.home_core]
         node = self._sleep_nodes.pop(name, None)
         if node is not None:
-            home.sleep.remove(node)
+            self.cores[rt.home_core].sleep.remove(node)
         core = task_class.release_core(job, t)
         self._kernel_enqueue(
             core,
             _Op(
-                kind="release",
-                duration=self._models[core.index].rls,
-                effect=lambda t2, job=job, core=core: self._do_release(
-                    core, job, t2
-                ),
-                label=f"rls:{name}" if self.record_trace else "rls",
+                "release",
+                self._models[core.index].rls,
+                self._do_release,
+                job,
+                f"rls:{name}" if self.record_trace else "rls",
             ),
             t,
         )
@@ -843,8 +851,8 @@ class KernelSim:
             core.busy_ns += executed
             core.busy_pj += executed * self._active_mw[core.index]
             if self.record_trace:
-                self._record(
-                    core.index, core.dispatched_at, t, job.name, "exec"
+                self.trace.append(
+                    (core.index, core.dispatched_at, t, job.name, "exec")
                 )
         if job.chunk_done:
             # The chunk finished exactly at this instant: process the end of
@@ -852,55 +860,73 @@ class KernelSim:
             core.running = None
             self._enqueue_chunk_end(core, job, t, front=True)
 
-    def _start_next_op(self, core: _Core, t: int) -> None:
+    def _charge_next_op(self, core: _Core, t: int) -> Tuple[_Op, int]:
+        """Pop the core's next op, charge its overhead from ``t``, and
+        return it with its end instant."""
         op = core.op_queue.popleft()
-        if op.kind == "sched":
-            op.duration = self._sched_duration(core)
-        duration = op.duration
+        kind = op.kind
+        if kind == "sched":
+            duration = self._sched_duration(core)
+        else:
+            duration = op.duration
         if duration > 0 and self._injector is not None:
-            duration = self._injector.spike(op.kind, duration, t, core.index)
+            duration = self._injector.spike(kind, duration, t, core.index)
         if self._metrics is not None:
             # Charged (post-spike) cost: what the core actually lost.
-            self._op_counts[op.kind] = self._op_counts.get(op.kind, 0) + 1
-            self._op_sim_ns[op.kind] = (
-                self._op_sim_ns.get(op.kind, 0) + duration
-            )
+            self._op_counts[kind] = self._op_counts.get(kind, 0) + 1
+            self._op_sim_ns[kind] = self._op_sim_ns.get(kind, 0) + duration
         end = t + duration
         if duration > 0:
             core.overhead_ns += duration
             core.overhead_pj += duration * self._active_mw[core.index]
             if self.record_trace:
-                self._record(core.index, t, end, op.label, "overhead")
+                self.trace.append((core.index, t, end, op.label, "overhead"))
+        return op, end
+
+    def _start_next_op(self, core: _Core, t: int) -> None:
+        op, end = self._charge_next_op(core, t)
         self.queue.schedule_fast(
-            end,
-            lambda t2, core=core, op=op: self._finish_op(core, op, t2),
-            priority=_OP_PRIORITY,
+            end, partial(self._finish_op, core, op), priority=_OP_PRIORITY
         )
 
     def _finish_op(self, core: _Core, op: _Op, t: int) -> None:
-        if self._profile_enabled:
-            start = _time.perf_counter_ns()
-            op.effect(t)
-            elapsed = _time.perf_counter_ns() - start
-            bucket = _PROFILE_BUCKET.get(op.kind, op.kind)
-            count, total = self.profile.get(bucket, (0, 0))
-            self.profile[bucket] = (count + 1, total + elapsed)
-        else:
-            op.effect(t)
-        if core.op_queue:
-            self._start_next_op(core, t)
-        elif core.needs_sched:
-            core.needs_sched = False
-            sched_op = _Op(
-                kind="sched",
-                duration=0,  # computed in _start_next_op
-                effect=lambda t2, core=core: self._do_sched(core, t2),
-                label="sch",
-            )
-            core.op_queue.append(sched_op)
-            self._start_next_op(core, t)
-        else:
-            self._exit_kernel(core, t)
+        """Run ``op``'s effect, then the rest of the core's kernel path.
+
+        The next op runs inline, with no heap round-trip, iff it ends
+        within the horizon and strictly before the earliest heap entry
+        (a cancelled entry counts as live).  The heap would pop it next
+        anyway: it holds nothing earlier, and every event at the same
+        instant (completions, releases, older op ends) must still run
+        first, so a tie goes through the heap.  The test is made only
+        after the effect returned, once every cross-core event that
+        effect scheduled is in the heap.
+        """
+        heap = self.queue._heap
+        horizon = self.duration
+        while True:
+            if self._profile_enabled:
+                start = _time.perf_counter_ns()
+                op.effect(core, op.job, t)
+                elapsed = _time.perf_counter_ns() - start
+                bucket = _PROFILE_BUCKET.get(op.kind, op.kind)
+                count, total = self.profile.get(bucket, (0, 0))
+                self.profile[bucket] = (count + 1, total + elapsed)
+            else:
+                op.effect(core, op.job, t)
+            if not core.op_queue:
+                if not core.needs_sched:
+                    self._exit_kernel(core, t)
+                    return
+                core.needs_sched = False
+                core.op_queue.append(self._sched_op)
+            op, end = self._charge_next_op(core, t)
+            if end > horizon or (heap and heap[0][0] <= end):
+                self.queue.schedule_fast(
+                    end, partial(self._finish_op, core, op),
+                    priority=_OP_PRIORITY,
+                )
+                return
+            self.queue.now = t = end
 
     def _exit_kernel(self, core: _Core, t: int) -> None:
         core.in_kernel = False
@@ -910,7 +936,7 @@ class KernelSim:
         core.dispatched_at = t
         end = t + self._chunk_length(job)
         core.completion_event = self.queue.schedule(
-            end, lambda t2, core=core: self._on_chunk_done(core, t2)
+            end, partial(self._on_chunk_done, core)
         )
 
     # ------------------------------------------------------------------
@@ -1001,7 +1027,7 @@ class KernelSim:
             preemption=self._would_preempt(core)
         )
 
-    def _do_sched(self, core: _Core, t: int) -> None:
+    def _do_sched(self, core: _Core, _job: None, t: int) -> None:
         free = core.free_dispatch
         core.free_dispatch = False
         sched_class = self.sched_class
@@ -1020,8 +1046,8 @@ class KernelSim:
                 self.preemptions += 1
                 self._ready_insert(core, victim, t)
                 if self.record_trace:
-                    self._log_event(
-                        t, "preempt", victim.rt.task.name, core.index
+                    self.events_log.append(
+                        (t, "preempt", victim.rt.task.name, core.index)
                     )
             else:
                 # Current job resumes at kernel exit.
@@ -1031,15 +1057,15 @@ class KernelSim:
         if job is None:
             sched_class.after_sched(core, t)
             return
-        cnt_op = _Op(
-            kind="cnt_in",
-            duration=0 if free else self._models[core.index].cnt1,
-            effect=lambda t2, core=core, job=job: self._do_dispatch(
-                core, job, t2
-            ),
-            label=f"cnt1:{job.rt.task.name}" if self.record_trace else "cnt1",
+        core.op_queue.append(
+            _Op(
+                "cnt_in",
+                0 if free else self._models[core.index].cnt1,
+                self._do_dispatch,
+                job,
+                f"cnt1:{job.rt.task.name}" if self.record_trace else "cnt1",
+            )
         )
-        core.op_queue.append(cnt_op)
         sched_class.after_sched(core, t)
 
     def request_sched(self, core: _Core, t: int) -> None:
@@ -1052,22 +1078,15 @@ class KernelSim:
         if core.in_kernel:
             core.needs_sched = True
             return
-        self._kernel_enqueue(
-            core,
-            _Op(
-                kind="sched",
-                duration=0,  # computed in _start_next_op
-                effect=lambda t2, core=core: self._do_sched(core, t2),
-                label="sch",
-            ),
-            t,
-        )
+        self._kernel_enqueue(core, self._sched_op, t)
 
     def _do_dispatch(self, core: _Core, job: Job, t: int) -> None:
         core.running = job
         self.context_switches += 1
         if self.record_trace:
-            self._log_event(t, "dispatch", job.rt.task.name, core.index)
+            self.events_log.append(
+                (t, "dispatch", job.rt.task.name, core.index)
+            )
         job.cls.on_dispatch(core, job, t)
         # The class hooks above read ``displaced`` (the global classes
         # reclassify a cross-core resume as a migration); the mechanism
@@ -1088,8 +1107,8 @@ class KernelSim:
             core.busy_ns += executed
             core.busy_pj += executed * self._active_mw[core.index]
             if self.record_trace:
-                self._record(
-                    core.index, core.dispatched_at, t, job.name, "exec"
+                self.trace.append(
+                    (core.index, core.dispatched_at, t, job.name, "exec")
                 )
         core.completion_event = None
         if not job.chunk_done:
@@ -1111,22 +1130,14 @@ class KernelSim:
             # Unlock: the kernel runs a scheduling pass — a deferred
             # higher-priority job may now preempt.
             core.in_kernel = True
-            core.needs_sched = True
-            sched_op = _Op(
-                kind="sched",
-                duration=0,  # computed in _start_next_op
-                effect=lambda t2, core=core: self._do_sched(core, t2),
-                label="sch",
-            )
-            core.needs_sched = False
-            core.op_queue.append(sched_op)
+            core.op_queue.append(self._sched_op)
             self._start_next_op(core, t)
             return
         # Lock acquisition (or unlock with empty queue): keep running.
         core.dispatched_at = t
         end = t + self._chunk_length(job)
         core.completion_event = self.queue.schedule(
-            end, lambda t2, core=core: self._on_chunk_done(core, t2)
+            end, partial(self._on_chunk_done, core)
         )
 
     # ------------------------------------------------------------------
@@ -1171,15 +1182,15 @@ class KernelSim:
                     t, "abort", name, core.index,
                     f"nominal={job.nominal_work} dropped={job.work_left}",
                 )
-            self._log_event(t, "abort", name, core.index)
+            if self.record_trace:
+                self.events_log.append((t, "abort", name, core.index))
             model = self._models[core.index]
             op = _Op(
-                kind="finish",
-                duration=model.sch(False) + model.cnt2_finish,
-                effect=lambda t2, core=core, job=job: self._do_abort_cleanup(
-                    core, job, t2
-                ),
-                label=f"abrt:{name}" if self.record_trace else "abrt",
+                "finish",
+                model.sch(False) + model.cnt2_finish,
+                self._do_abort_cleanup,
+                job,
+                f"abrt:{name}" if self.record_trace else "abrt",
             )
         else:  # "demote"
             job.demoted = True
@@ -1188,17 +1199,17 @@ class KernelSim:
                     t, "demote", name, core.index,
                     f"nominal={job.nominal_work} left={job.work_left}",
                 )
-            self._log_event(t, "demote", name, core.index)
+            if self.record_trace:
+                self.events_log.append((t, "demote", name, core.index))
             # The kernel re-queues the job at background priority (one
             # ready-queue insert); the scheduling pass that follows via
             # needs_sched is charged separately, as usual.
             op = _Op(
-                kind="demote",
-                duration=self._models[core.index].ready_op_ns,
-                effect=lambda t2, core=core, job=job: self._do_demote(
-                    core, job, t2
-                ),
-                label=f"dmt:{name}" if self.record_trace else "dmt",
+                "demote",
+                self._models[core.index].ready_op_ns,
+                self._do_demote,
+                job,
+                f"dmt:{name}" if self.record_trace else "dmt",
             )
         core.op_queue.append(op)
         self._start_next_op(core, t)
@@ -1230,16 +1241,11 @@ class KernelSim:
             job.finish_time = t
             model = self._models[core.index]
             op = _Op(
-                kind="finish",
-                duration=model.sch(False) + model.cnt2_finish,
-                effect=lambda t2, core=core, job=job, done=t: self._do_finish(
-                    core, job, t2, completed_at=done
-                ),
-                label=(
-                    f"cnt2:{job.rt.task.name}"
-                    if self.record_trace
-                    else "cnt2"
-                ),
+                "finish",
+                model.sch(False) + model.cnt2_finish,
+                self._do_finish,
+                job,
+                f"cnt2:{job.rt.task.name}" if self.record_trace else "cnt2",
             )
         else:
             action = job.cls.on_budget_exhausted(core, job, t)
@@ -1250,24 +1256,21 @@ class KernelSim:
                 )
             model = self._models[core.index]
             op = _Op(
-                kind="migrate_out",
-                duration=model.sch(False) + model.cnt2_migrate,
-                effect=lambda t2, core=core, job=job: self._do_migrate_out(
-                    core, job, t2
-                ),
-                label=(
-                    f"mig:{job.rt.task.name}" if self.record_trace else "mig"
-                ),
+                "migrate_out",
+                model.sch(False) + model.cnt2_migrate,
+                self._do_migrate_out,
+                job,
+                f"mig:{job.rt.task.name}" if self.record_trace else "mig",
             )
         if front:
             core.op_queue.appendleft(op)
         else:
             core.op_queue.append(op)
 
-    def _do_finish(
-        self, core: _Core, job: Job, t: int, completed_at: int
-    ) -> None:
-        job.finish_time = completed_at
+    def _do_finish(self, core: _Core, job: Job, t: int) -> None:
+        # The response ended when the chunk did (_enqueue_chunk_end set
+        # finish_time then); ``t`` is the end of the cnt2 bookkeeping.
+        completed_at = job.finish_time
         rt = job.rt
         name = rt.task.name
         stats = self.task_stats[name]
@@ -1290,9 +1293,11 @@ class KernelSim:
                 )
             )
             if self.record_trace:
-                self._log_event(completed_at, "miss", name, core.index)
+                self.events_log.append(
+                    (completed_at, "miss", name, core.index)
+                )
         elif self.record_trace:
-            self._log_event(completed_at, "finish", name, core.index)
+            self.events_log.append((completed_at, "finish", name, core.index))
         # Back to the sleep queue of the core hosting the first subtask
         # (paper §2, tail subtask rule).
         home = self.cores[rt.home_core]
@@ -1323,7 +1328,8 @@ class KernelSim:
                         kind="lost",
                     )
                 )
-                self._log_event(t, "lost", name, core.index)
+                if self.record_trace:
+                    self.events_log.append((t, "lost", name, core.index))
                 rt = job.rt
                 home = self.cores[rt.home_core]
                 self._sleep_nodes[name] = home.sleep.insert(
@@ -1346,24 +1352,21 @@ class KernelSim:
         self.task_stats[name].migrations += 1
         self.migrations += 1
         if self.record_trace:
-            self._log_event(t, "migrate", name, stage.core)
+            self.events_log.append((t, "migrate", name, stage.core))
         destination = self.cores[stage.core]
         arrival = _Op(
-            kind="migrate_in",
-            duration=0,  # remote insert already paid in cnt2_migrate
-            effect=lambda t2, dest=destination, job=job: self._do_migrate_in(
-                dest, job, t2
-            ),
-            label=f"migin:{name}" if self.record_trace else "migin",
+            "migrate_in",
+            0,  # remote insert already paid in cnt2_migrate
+            self._do_migrate_in,
+            job,
+            f"migin:{name}" if self.record_trace else "migin",
         )
         if delay > 0:
             # Late migration: the subtask reaches the destination core's
             # kernel only after the injected in-flight delay.
             self.queue.schedule_fast(
                 t + delay,
-                lambda t2, dest=destination, op=arrival: self._kernel_enqueue(
-                    dest, op, t2
-                ),
+                partial(self._kernel_enqueue, destination, arrival),
                 priority=_RELEASE_PRIORITY,
             )
         else:
@@ -1392,16 +1395,6 @@ class KernelSim:
         # the *job* name (task/seq), matching the exec-trace labels.
         if self.record_trace and t is not None:
             self.events_log.append((t, "ready", job.name, core.index))
-
-    def _record(
-        self, core: int, start: int, end: int, label: str, kind: str
-    ) -> None:
-        if self.record_trace and end > start:
-            self.trace.append((core, start, end, label, kind))
-
-    def _log_event(self, t: int, kind: str, task: str, core: int) -> None:
-        if self.record_trace:
-            self.events_log.append((t, kind, task, core))
 
     def _flush_metrics(self) -> None:
         """Record this run's observations into the attached registry.
@@ -1489,9 +1482,11 @@ class KernelSim:
                 if executed > 0:
                     core.busy_ns += executed
                     core.busy_pj += executed * self._active_mw[core.index]
-                    self._record(
-                        core.index, core.dispatched_at, t, job.name, "exec"
-                    )
+                    if self.record_trace:
+                        self.trace.append(
+                            (core.index, core.dispatched_at, t, job.name,
+                             "exec")
+                        )
                 core.completion_event.cancel()
                 core.completion_event = None
         # Settle the energy ledger: idle is whatever the horizon left

@@ -146,8 +146,8 @@ class OverheadModel:
         cache-penalty path is scaled too (see
         :meth:`repro.cache.model.CachePenaltyModel.at_frequency`).
         ``at_frequency(1)`` returns ``self`` — the identity is ``is``-
-        level, which is what makes the ``freq1-vs-unscaled``
-        differential structural.
+        level, so a unit frequency cannot perturb a simulation
+        (``tests/test_energy.py::TestUnitFrequencyIdentity``).
         """
         from repro.energy.model import as_fraction, scale_ns
 

@@ -39,6 +39,8 @@ the four structural checks only.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.model.assignment import Assignment
@@ -119,6 +121,16 @@ class CheckContext:
     #: with.  Their ready windows carry virtual-deadline keys the trace
     #: cannot reconstruct, so priority oracles treat them specially.
     fair_tasks: Optional[Set[str]] = None
+    _index: Optional["_TraceIndex"] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    @property
+    def index(self) -> "_TraceIndex":
+        """The trace grouped once for every checker run on this context."""
+        if self._index is None:
+            self._index = _TraceIndex(self.trace)
+        return self._index
 
     @staticmethod
     def from_result(
@@ -214,21 +226,56 @@ def validate_trace(
 # Structural checkers
 # ----------------------------------------------------------------------
 
-def _exec_segments(trace: List[tuple]):
-    for core, start, end, label, kind in trace:
-        if kind == "exec":
-            yield core, start, end, label
+_CORE = itemgetter(0)
+#: Sort key of one job's execution rows: (start, end, core).
+_START_END_CORE = itemgetter(1, 2, 0)
+
+
+class _TraceIndex:
+    """The groupings of one trace's ``(core, start, end, label, kind)``
+    rows that the checkers share, built once per context.
+
+    * ``by_core`` — core -> its rows, cores in first-appearance order;
+    * ``exec_rows`` — the execution rows, in trace order;
+    * ``by_job`` — job label -> its execution rows, jobs in
+      first-appearance order;
+    * ``task_of`` — job label -> task name.
+
+    Checkers may sort the ``by_core`` and ``by_job`` lists in place;
+    nothing reads their trace order.
+    """
+
+    __slots__ = ("by_core", "exec_rows", "by_job", "task_of")
+
+    def __init__(self, trace: List[tuple]) -> None:
+        # A stable sort by core keeps each core's rows in trace order.
+        grouped = {
+            core: list(rows)
+            for core, rows in groupby(sorted(trace, key=_CORE), key=_CORE)
+        }
+        self.by_core = {
+            core: grouped[core] for core in dict.fromkeys(map(_CORE, trace))
+        }
+        self.exec_rows = [row for row in trace if row[4] == "exec"]
+        by_job: Dict[str, List[tuple]] = {}
+        for row in self.exec_rows:
+            rows = by_job.get(row[3])
+            if rows is None:
+                by_job[row[3]] = [row]
+            else:
+                rows.append(row)
+        self.by_job = by_job
+        self.task_of = {label: label.split("/", 1)[0] for label in by_job}
 
 
 @register_checker("core-overlap")
 def _check_core_overlap(ctx: CheckContext) -> List[TraceViolation]:
     violations: List[TraceViolation] = []
-    per_core: Dict[int, List[Tuple[int, int, str]]] = {}
-    for core, start, end, label, _kind in ctx.trace:
-        per_core.setdefault(core, []).append((start, end, label))
-    for core, segments in per_core.items():
-        segments.sort()
-        for (s1, e1, l1), (s2, e2, l2) in zip(segments, segments[1:]):
+    for core, rows in ctx.index.by_core.items():
+        # One core: sorted by (start, end, label); ``kind`` breaks only
+        # ties whose detail strings are identical.
+        rows.sort()
+        for (_c, s1, e1, l1, _k), (_c, s2, e2, l2, _k) in zip(rows, rows[1:]):
             if s2 < e1:
                 violations.append(
                     TraceViolation(
@@ -245,12 +292,11 @@ def _check_core_overlap(ctx: CheckContext) -> List[TraceViolation]:
 @register_checker("job-parallelism")
 def _check_job_parallelism(ctx: CheckContext) -> List[TraceViolation]:
     violations: List[TraceViolation] = []
-    per_job: Dict[str, List[Tuple[int, int, int]]] = {}
-    for core, start, end, label in _exec_segments(ctx.trace):
-        per_job.setdefault(label, []).append((start, end, core))
-    for job, segments in per_job.items():
-        segments.sort()
-        for (s1, e1, c1), (s2, e2, c2) in zip(segments, segments[1:]):
+    for job, rows in ctx.index.by_job.items():
+        if len(rows) < 2:
+            continue
+        rows.sort(key=_START_END_CORE)
+        for (c1, s1, e1, _l, _k), (c2, s2, e2, _l, _k) in zip(rows, rows[1:]):
             if s2 < e1:
                 violations.append(
                     TraceViolation(
@@ -274,8 +320,10 @@ def _check_placement(ctx: CheckContext) -> List[TraceViolation]:
     allowed: Dict[str, Set[int]] = {}
     for entry in ctx.assignment.entries():
         allowed.setdefault(entry.task.name, set()).add(entry.core)
-    for core, _start, _end, label in _exec_segments(ctx.trace):
-        task_name = label.split("/", 1)[0]
+    index = ctx.index
+    task_of = index.task_of
+    for core, _start, _end, label, _kind in index.exec_rows:
+        task_name = task_of[label]
         cores = allowed.get(task_name)
         if cores is not None and core not in cores:
             violations.append(
@@ -313,13 +361,14 @@ def _check_budget(ctx: CheckContext) -> List[TraceViolation]:
                 overrun_extra[event.task] = (
                     overrun_extra.get(event.task, 0) + (actual - nominal)
                 )
+    index = ctx.index
     per_job_core: Dict[Tuple[str, int], int] = {}
-    for core, start, end, label in _exec_segments(ctx.trace):
-        per_job_core[(label, core)] = per_job_core.get((label, core), 0) + (
-            end - start
-        )
+    for core, start, end, label, _kind in index.exec_rows:
+        key = (label, core)
+        per_job_core[key] = per_job_core.get(key, 0) + (end - start)
+    task_of = index.task_of
     for (job, core), executed in per_job_core.items():
-        task_name = job.split("/", 1)[0]
+        task_name = task_of[job]
         budget = budgets.get((task_name, core))
         if budget is None:
             continue  # placement violation already reported
@@ -490,6 +539,7 @@ def _check_preemption_order(ctx: CheckContext) -> List[TraceViolation]:
         return []
     fair_tasks = ctx.fair_tasks or frozenset()
     violations: List[TraceViolation] = []
+    exec_rows = ctx.index.exec_rows
     priorities, _stage_index, deadline_offset, _cores = _runtime_tables(
         ctx.assignment
     )
@@ -550,7 +600,7 @@ def _check_preemption_order(ctx: CheckContext) -> List[TraceViolation]:
         return (table[core], int(seq or 0))
 
     exec_by_core: Dict[int, List[Tuple[int, int, str]]] = {}
-    for core, start, end, label in _exec_segments(ctx.trace):
+    for core, start, end, label, _kind in exec_rows:
         exec_by_core.setdefault(0 if global_mode else core, []).append(
             (start, end, label)
         )
@@ -681,9 +731,10 @@ def _check_budget_conservation(ctx: CheckContext) -> List[TraceViolation]:
     wss: Dict[str, int] = {}
     for entry in ctx.assignment.entries():
         wss[entry.task.name] = entry.task.wss
+    index = ctx.index
     exec_by_task: Dict[str, int] = {}
-    for _core, start, end, label in _exec_segments(ctx.trace):
-        task = label.split("/", 1)[0]
+    for _core, start, end, label, _kind in index.exec_rows:
+        task = index.task_of[label]
         exec_by_task[task] = exec_by_task.get(task, 0) + (end - start)
     overrun_extra: Dict[str, int] = {}
     if ctx.fault_log is not None:
@@ -775,20 +826,22 @@ def _check_handoff_order(ctx: CheckContext) -> List[TraceViolation]:
         ctx.assignment
     )
     violations: List[TraceViolation] = []
-    per_job: Dict[str, List[Tuple[int, int, int]]] = {}
-    for core, start, end, label in _exec_segments(ctx.trace):
-        task = label.split("/", 1)[0]
-        if task in ctx.assignment.split_tasks:
-            per_job.setdefault(label, []).append((start, end, core))
-    for job, segments in sorted(per_job.items()):
-        task = job.split("/", 1)[0]
+    index = ctx.index
+    split_tasks = ctx.assignment.split_tasks
+    per_job = {
+        job: rows
+        for job, rows in index.by_job.items()
+        if index.task_of[job] in split_tasks
+    }
+    for job, rows in sorted(per_job.items()):
+        task = index.task_of[job]
         stages = stage_index.get(task)
         if not stages:
             continue  # ambiguous core->stage mapping (never produced)
-        segments.sort()
+        rows.sort(key=_START_END_CORE)
         current = 0
         first = True
-        for start, _end, core in segments:
+        for core, start, _end, _label, _kind in rows:
             stage = stages.get(core)
             if stage is None:
                 continue  # placement checker reports this

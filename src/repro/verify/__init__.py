@@ -8,7 +8,7 @@ Entry points:
   invariant checker;
 * :func:`~repro.verify.harness.run_harness` — seeded random trials plus
   metamorphic mutations;
-* :func:`~repro.verify.differential.run_differential_suite` — the eight
+* :func:`~repro.verify.differential.run_differential_suite` — the seven
   independent-implementation agreement checks;
 * :func:`~repro.verify.shrink.shrink_scenario` /
   :func:`~repro.verify.shrink.write_repro` — minimize a failing scenario
@@ -21,7 +21,6 @@ from repro.verify.differential import (
     batch_vs_scalar,
     context_vs_oracle,
     cross_class_sanity,
-    freq1_vs_unscaled,
     replay_vs_synthetic,
     result_to_canonical,
     run_differential_suite,
@@ -67,7 +66,6 @@ __all__ = [
     "check_scenario",
     "context_vs_oracle",
     "cross_class_sanity",
-    "freq1_vs_unscaled",
     "full_check",
     "load_repro",
     "metamorphic_checks",

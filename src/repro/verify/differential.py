@@ -1,6 +1,6 @@
 """Differential cross-checks: independent implementations must agree.
 
-Eight pairs, each exercising a different redundancy in the codebase:
+Seven pairs, each exercising a different redundancy in the codebase:
 
 * **sim-vs-oracle** — a zero-overhead :class:`KernelSim` run on one core
   must agree with the analytical time-demand oracle
@@ -33,14 +33,10 @@ Eight pairs, each exercising a different redundancy in the codebase:
   and synthesizing from its fitted profile at scale 1.0 must produce
   the identical job stream and hence identical admission verdicts
   through the same aperiodic server (the exactness contract of the
-  quantile-sketch workload profiles);
-* **freq1-vs-unscaled** — an all-ones frequency vector (in every
-  spelling: scalar, list, string) must reproduce the pre-DVFS
-  simulator bit-for-bit at full-result granularity, produce an equal
-  energy ledger, and balance that ledger on both sides.
+  quantile-sketch workload profiles).
 
 Every check returns a list of human-readable discrepancy strings; empty
-means the pair agrees.  :func:`run_differential_suite` runs all eight.
+means the pair agrees.  :func:`run_differential_suite` runs all seven.
 """
 
 from __future__ import annotations
@@ -60,8 +56,8 @@ def result_to_canonical(result) -> dict:
     Full granularity: counters, per-task statistics, every miss, the
     complete segment trace and event log, and the fault log.  The
     energy ledger is excluded (the frozen pre-plugin matrix
-    ``tests/golden/legacy_matrix.json`` predates it); pairs that care
-    about it — freq1-vs-unscaled — compare ``result.energy`` explicitly.
+    ``tests/golden/legacy_matrix.json`` predates it); callers that care
+    about it compare ``result.energy`` explicitly.
     """
     return {
         "duration": result.duration,
@@ -948,80 +944,6 @@ def replay_vs_synthetic(trials: int = 20, seed: int = 0) -> List[str]:
     return diffs
 
 
-def freq1_vs_unscaled(trials: int = 6, seed: int = 0) -> List[str]:
-    """Frequency 1.0 must be the exact pre-DVFS simulator.
-
-    Runs the identity scenario (FP-TS / C=D assignments, sporadic jitter,
-    execution variation, the fault matrix) twice per trial — once with
-    ``frequencies=None`` (the pre-DVFS constructor path) and once with an
-    explicit all-ones frequency vector plus an explicit default
-    :class:`~repro.energy.model.PowerModel` — and requires bit-identical
-    canonical results *and* identical energy ledgers.  Every ledger is
-    additionally replayed from zero through
-    :func:`repro.energy.model.check_energy_ledger`.
-    """
-    from repro.energy.model import PowerModel, check_energy_ledger
-    from repro.kernel.sim import KernelSim
-
-    freq_specs = (1, [1, 1], "1.0")  # scalar, vector, decimal-string
-    diffs: List[str] = []
-    for trial in range(trials):
-        run_seed = seed + trial
-        plan_kind = ("none", "moderate", "full")[trial % 3]
-        policy = "fp" if trial % 2 == 0 else "edf"
-        algorithm = "FP-TS" if policy == "fp" else "C=D"
-        taskset, assignment = _accepted_assignment(algorithm, run_seed)
-        if assignment is None:
-            diffs.append(
-                f"trial {trial}: no accepted {algorithm} task set "
-                f"from seed {run_seed}"
-            )
-            continue
-        duration = 4 * max(task.period for task in taskset)
-
-        def simulate(frequencies, power):
-            return KernelSim(
-                assignment,
-                OverheadModel.paper_core_i7(4),
-                duration,
-                record_trace=True,
-                policy=policy,
-                sporadic_jitter=MS,
-                execution_variation=0.3,
-                seed=run_seed,
-                faults=_fault_plan(plan_kind, run_seed),
-                frequencies=frequencies,
-                power=power,
-            ).run()
-
-        unscaled = simulate(None, None)
-        freq1 = simulate(freq_specs[trial % len(freq_specs)], PowerModel())
-        detail = _diff_canonical(
-            result_to_canonical(unscaled),
-            result_to_canonical(freq1),
-            "unscaled",
-            "freq-1",
-        )
-        if detail:
-            diffs.append(
-                f"trial {trial} ({policy}, faults={plan_kind}): "
-                + "; ".join(detail[:3])
-            )
-        if unscaled.energy != freq1.energy:
-            diffs.append(
-                f"trial {trial}: energy ledgers differ at frequency 1"
-            )
-        for label, result in (("unscaled", unscaled), ("freq-1", freq1)):
-            for problem in check_energy_ledger(
-                result.energy,
-                result.busy_ns,
-                result.overhead_ns,
-                result.duration,
-            ):
-                diffs.append(f"trial {trial} ({label}): {problem}")
-    return diffs
-
-
 #: Name -> zero-argument runner for each differential pair.
 DIFFERENTIAL_PAIRS = (
     "sim-vs-oracle",
@@ -1031,14 +953,13 @@ DIFFERENTIAL_PAIRS = (
     "batch-vs-scalar",
     "cross-class-sanity",
     "replay-vs-synthetic",
-    "freq1-vs-unscaled",
 )
 
 
 def run_differential_suite(
     seed: int = 0, trials: int = 20, jobs: int = 2
 ) -> Dict[str, List[str]]:
-    """Run all eight pairs; maps pair name to its discrepancy list."""
+    """Run all seven pairs; maps pair name to its discrepancy list."""
     return {
         "sim-vs-oracle": sim_vs_oracle(trials=trials, seed=seed),
         "serial-vs-parallel": serial_vs_parallel(seed=seed, jobs=jobs),
@@ -1050,8 +971,5 @@ def run_differential_suite(
         ),
         "replay-vs-synthetic": replay_vs_synthetic(
             trials=trials, seed=seed
-        ),
-        "freq1-vs-unscaled": freq1_vs_unscaled(
-            trials=max(1, trials // 3), seed=seed
         ),
     }

@@ -1,6 +1,6 @@
 """Energy ledger, DVFS scaling, and power-model tests.
 
-Three layers:
+Four layers:
 
 * **unit properties** — ``round_half_up`` / ``scale_ns`` arithmetic,
   ``OverheadModel.scaled`` rounding (the satellite bugfix: half-up, and
@@ -13,11 +13,14 @@ Three layers:
   busy/overhead counters) via :func:`repro.energy.model.
   check_energy_ledger` and the ``energy-ledger`` trace checker;
 * **physical sanity** — lower frequency never increases mean power,
-  and the unit-frequency ledger matches the unscaled simulation's.
+  and the unit-frequency ledger matches the unscaled simulation's;
+* **unit-frequency identity** — every spelling of an all-ones frequency
+  vector reproduces the unscaled simulator byte for byte.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
 
@@ -40,6 +43,9 @@ from repro.model.generator import TaskSetGenerator
 from repro.model.time import MS
 from repro.overhead.model import OverheadModel
 from repro.trace.validate import CheckContext, run_checkers
+from repro.verify import result_to_canonical
+from repro.verify.differential import _accepted_assignment
+from repro.verify.differential import _fault_plan as _identity_fault_plan
 
 
 class TestRationalArithmetic:
@@ -353,6 +359,66 @@ class TestPhysicalSanity:
         one = energy.energy_per_ns(10**6)
         ten = energy.energy_per_ns(10**7)
         assert math.isclose(ten, 10 * one, rel_tol=1e-9, abs_tol=5)
+
+
+class TestUnitFrequencyIdentity:
+    """Frequency 1, in every spelling, *is* the unscaled simulator.
+
+    ``OverheadModel.at_frequency(1)`` returns the model itself, so an
+    all-ones vector must leave every simulated nanosecond, the energy
+    ledger, and its balance untouched.  The scenarios cover FP-TS under
+    ``fp`` and C=D under ``edf``, sporadic jitter, execution variation,
+    and the none / moderate / full fault plans.
+    """
+
+    @pytest.mark.parametrize(
+        "frequencies,policy,plan_kind,seed",
+        [
+            pytest.param(1, "fp", "none", 21, id="scalar-fp-none"),
+            pytest.param(
+                [1, 1], "edf", "moderate", 22, id="list-edf-moderate"
+            ),
+            pytest.param("1.0", "fp", "full", 23, id="string-fp-full"),
+            pytest.param(1, "edf", "none", 24, id="scalar-edf-none"),
+            pytest.param([1, 1], "fp", "moderate", 25, id="list-fp-moderate"),
+            pytest.param("1.0", "edf", "full", 26, id="string-edf-full"),
+        ],
+    )
+    def test_unit_frequency_is_unscaled(
+        self, frequencies, policy, plan_kind, seed
+    ):
+        algorithm = "FP-TS" if policy == "fp" else "C=D"
+        taskset, assignment = _accepted_assignment(algorithm, seed)
+        assert assignment is not None
+
+        def simulate(frequencies, power):
+            return KernelSim(
+                assignment,
+                OverheadModel.paper_core_i7(4),
+                4 * max(task.period for task in taskset),
+                record_trace=True,
+                policy=policy,
+                sporadic_jitter=MS,
+                execution_variation=0.3,
+                seed=seed,
+                faults=_identity_fault_plan(plan_kind, seed),
+                frequencies=frequencies,
+                power=power,
+            ).run()
+
+        unscaled = simulate(None, None)
+        unit = simulate(frequencies, PowerModel())
+        assert json.dumps(
+            result_to_canonical(unscaled), sort_keys=True
+        ) == json.dumps(result_to_canonical(unit), sort_keys=True)
+        assert unscaled.energy == unit.energy
+        for result in (unscaled, unit):
+            assert check_energy_ledger(
+                result.energy,
+                result.busy_ns,
+                result.overhead_ns,
+                result.duration,
+            ) == []
 
 
 class TestCheckEnergyLedger:

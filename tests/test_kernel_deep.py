@@ -266,3 +266,117 @@ class TestEdgeCases:
         result = KernelSim(assignment, OverheadModel.zero(), duration=100).run()
         assert result.miss_count == 0
         assert result.busy_ns[0] == 100
+
+
+class TestInlineOpChains:
+    """A core's next kernel op runs inline only when it is provably the
+    next event: it ends within the horizon and strictly before every
+    pending heap entry.  Every expected sequence below was produced by
+    the simulator that pushed each op through the heap."""
+
+    # rls = 3, sch = 5, cnt1 = 2, finish (sch + cnt2) = 7.
+    MODEL = OverheadModel(release_ns=3, sch_ns=5, cnt_swth_ns=2)
+
+    def _run(self, duration, offsets=None, wcets=None):
+        """Task ``a`` alone on core 0 (and ``b`` on core 1 when given)."""
+        wcets = wcets or {"a": 20}
+        assignment = Assignment(len(wcets))
+        for core, name in enumerate(sorted(wcets)):
+            task = Task(name, wcet=wcets[name], period=100)
+            assignment.add_entry(
+                Entry(
+                    kind=EntryKind.NORMAL,
+                    task=task,
+                    core=core,
+                    budget=task.wcet,
+                    local_priority=0,
+                )
+            )
+        return KernelSim(
+            assignment,
+            self.MODEL,
+            duration=duration,
+            record_trace=True,
+            release_offsets=offsets,
+        ).run()
+
+    def test_release_at_op_end_joins_first(self):
+        # Core 0's cnt1 (after an inline sch) ends at 10, the instant b
+        # is released on core 1: the release runs before the dispatch.
+        result = self._run(100, {"b": 10}, {"a": 20, "b": 20})
+        assert result.events == [
+            (0, "release", "a", 0),
+            (3, "ready", "a/1", 0),
+            (10, "release", "b", 1),
+            (10, "dispatch", "a", 0),
+            (13, "ready", "b/2", 1),
+            (20, "dispatch", "b", 1),
+            (30, "finish", "a", 0),
+            (40, "finish", "b", 1),
+        ]
+
+    def test_completion_at_op_end_runs_first(self):
+        # Core 0's sch ends at 60, the instant b's chunk completes on
+        # core 1: b's exec and cnt2 rows precede a's cnt1 row.
+        result = self._run(100, {"a": 52}, {"a": 20, "b": 50})
+        assert result.trace == [
+            (1, 0, 3, "rls:b", "overhead"),
+            (1, 3, 8, "sch", "overhead"),
+            (1, 8, 10, "cnt1:b", "overhead"),
+            (0, 52, 55, "rls:a", "overhead"),
+            (0, 55, 60, "sch", "overhead"),
+            (1, 10, 60, "b/1", "exec"),
+            (1, 60, 67, "cnt2:b", "overhead"),
+            (0, 60, 62, "cnt1:a", "overhead"),
+            (0, 62, 82, "a/2", "exec"),
+            (0, 82, 89, "cnt2:a", "overhead"),
+        ]
+        assert result.events[3:6] == [
+            (52, "release", "a", 0),
+            (55, "ready", "a/2", 0),
+            (62, "dispatch", "a", 0),
+        ]
+
+    @pytest.mark.parametrize(
+        "duration,overhead,last_op",
+        [
+            (5, 8, "sch"),  # sch ends at 8, past the horizon: not run
+            (8, 10, "cnt1:a"),  # sch ends at the horizon and runs
+        ],
+    )
+    def test_op_past_horizon_is_charged_but_not_run(
+        self, duration, overhead, last_op
+    ):
+        result = self._run(duration)
+        # The op that straddles the horizon is charged in full ...
+        assert result.overhead_ns == [overhead]
+        assert result.trace[-1][3] == last_op
+        assert result.energy.cores[0].idle_ns == 0
+        # ... but its effect never runs: a is never dispatched.
+        assert result.context_switches == 0
+        assert result.events == [
+            (0, "release", "a", 0),
+            (3, "ready", "a/1", 0),
+        ]
+
+    def test_heap_pushes_per_release_are_pinned(self):
+        """12 tasks (one split) under FP-TS on 4 cores: the run takes 491
+        kernel ops for 81 releases, but only 438 heap entries (726 when
+        every op was its own heap entry)."""
+        from repro.experiments.algorithms import build_assignment
+        from repro.metrics.registry import MetricsRegistry
+        from repro.model.generator import TaskSetGenerator
+
+        taskset = TaskSetGenerator(
+            n_tasks=12, seed=3, period_min=10 * MS, period_max=100 * MS
+        ).generate(0.9 * 4)
+        model = OverheadModel.paper_core_i7(3)
+        assignment = build_assignment("FP-TS", taskset, 4, model)
+        assert assignment is not None and len(assignment.split_tasks) == 1
+        metrics = MetricsRegistry()
+        sim = KernelSim(assignment, model, 200 * MS, metrics=metrics)
+        result = sim.run()
+        assert result.releases == 81
+        assert result.migrations == 10
+        assert metrics.sum_of("sim_kernel_ops_total") == 491
+        assert sim.queue._seq == 438
