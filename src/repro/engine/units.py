@@ -83,9 +83,11 @@ class SplittingUnit:
 class CriteriaUnit:
     """One utilization point of a multi-criteria campaign sweep.
 
-    Executing it regenerates the same task-set population as the matching
-    :class:`AcceptanceUnit` (same seed contract) and measures, per
-    algorithm, the evaluation axes *beyond* acceptance:
+    Executing it generates the point's task-set population (the same
+    one an :class:`AcceptanceUnit` with these fields generates) and
+    measures, per algorithm, the sets the overhead-aware test accepts
+    (``accepted``/``total``, the acceptance unit's payload) and the
+    evaluation axes *beyond* acceptance:
 
     * static packing axes over **every** accepted assignment —
       spare-capacity balance (``min`` over cores of spare capacity
@@ -99,7 +101,9 @@ class CriteriaUnit:
 
     Payload values are per-algorithm means; an algorithm that accepted
     no set maps to ``None`` (NaN downstream), and dynamic axes are
-    ``None`` when no accepted set was simulated.  Global algorithms
+    ``None`` when no accepted set was simulated.  A run repeated within
+    the unit (same set, scheduling class and assignment) is simulated
+    once and its row reused.  Global algorithms
     place tasks at runtime, so their static axes use the evenly-spread
     raw utilization and their simulations route through
     :func:`repro.kernel.global_sim.build_global_assignment`.
@@ -286,27 +290,21 @@ def execute_unit(unit: WorkUnit) -> dict:
     Module-level (pickled by reference) so it can be dispatched to a
     :class:`~concurrent.futures.ProcessPoolExecutor` worker.
     """
-    if unit.kind == "acceptance":
-        return _execute_acceptance(unit)
-    if unit.kind == "splitting":
-        return _execute_splitting(unit)
-    if unit.kind == "criteria":
-        return _execute_criteria(unit)
-    if unit.kind == "chaos":
-        return _execute_chaos(unit)
-    if unit.kind == "verify":
-        return _execute_verify(unit)
-    if unit.kind == "profile":
-        return _execute_profile(unit)
-    if unit.kind == "admission":
-        return execute_admission(unit)
-    if unit.kind == "workload":
-        # Lazy import: repro.workload.synth pulls in the servers layer,
-        # which workers not running workload units never need.
-        from repro.workload.synth import run_workload_unit
+    try:
+        executor = _EXECUTORS[unit.kind]
+    except KeyError:
+        raise ValueError(f"unknown work-unit kind {unit.kind!r}") from None
+    return executor(unit)
 
-        return run_workload_unit(unit)
-    raise ValueError(f"unknown work-unit kind {unit.kind!r}")
+
+def _generator(unit) -> TaskSetGenerator:
+    """The unit's task-set generator (its seed and period range)."""
+    return TaskSetGenerator(
+        n_tasks=unit.n_tasks,
+        seed=unit.seed,
+        period_min=unit.period_min,
+        period_max=unit.period_max,
+    )
 
 
 def admission_taskset(unit: AdmissionUnit):
@@ -344,12 +342,7 @@ def _execute_profile(unit: ProfileUnit) -> dict:
     from repro.kernel.sim import KernelSim
     from repro.metrics.registry import MetricsRegistry
 
-    generator = TaskSetGenerator(
-        n_tasks=unit.n_tasks,
-        seed=unit.seed,
-        period_min=unit.period_min,
-        period_max=unit.period_max,
-    )
+    generator = _generator(unit)
     taskset = generator.generate(unit.utilization * unit.n_cores)
     assignment = build_assignment(
         unit.algorithm, taskset, unit.n_cores, unit.overheads
@@ -422,12 +415,7 @@ def _execute_acceptance(unit: AcceptanceUnit) -> dict:
     # Imported lazily: repro.experiments imports repro.engine back.
     from repro.experiments.algorithms import accept
 
-    generator = TaskSetGenerator(
-        n_tasks=unit.n_tasks,
-        seed=unit.seed,
-        period_min=unit.period_min,
-        period_max=unit.period_max,
-    )
+    generator = _generator(unit)
     total = unit.utilization * unit.n_cores
     if unit.batch:
         from repro.analysis.batch import TaskSetPopulation
@@ -466,13 +454,9 @@ def _execute_criteria(unit: CriteriaUnit) -> dict:
     from repro.experiments.algorithms import ALGORITHMS, build_assignment
     from repro.kernel.global_sim import build_global_assignment
     from repro.kernel.sim import KernelSim
+    from repro.model.io import assignment_to_dict
 
-    generator = TaskSetGenerator(
-        n_tasks=unit.n_tasks,
-        seed=unit.seed,
-        period_min=unit.period_min,
-        period_max=unit.period_max,
-    )
+    generator = _generator(unit)
     tasksets = generator.generate_many(
         unit.utilization * unit.n_cores, unit.sets_per_point
     )
@@ -482,11 +466,12 @@ def _execute_criteria(unit: CriteriaUnit) -> dict:
 
     criteria: Dict[str, Optional[dict]] = {}
     accepted: Dict[str, int] = {}
+    runs: Dict[tuple, tuple] = {}  # dynamic row of each distinct run
     for name in unit.algorithms:
         spec = ALGORITHMS[name]
         static_rows = []  # (spare_balance, packing_slack)
         dynamic_rows = []  # (preempt/rel, migr/rel, power_mw, per_hp_uj)
-        for taskset in tasksets:
+        for index, taskset in enumerate(tasksets):
             assignment = build_assignment(
                 name, taskset, unit.n_cores, unit.overheads
             )
@@ -511,34 +496,45 @@ def _execute_criteria(unit: CriteriaUnit) -> dict:
             )
             if len(dynamic_rows) >= unit.sim_sets:
                 continue
-            result = KernelSim(
+            simulated = (
                 build_global_assignment(taskset, unit.n_cores)
                 if spec.kind == "global"
-                else assignment,
-                unit.overheads,
-                duration=2 * max(task.period for task in taskset),
-                execution_times={
-                    task.name: task.wcet for task in taskset
-                },
-                seed=unit.seed,
-                sched_class=spec.sched_class,
-            ).run()
-            releases = max(1, result.releases)
-            hyperperiod = math.lcm(*(t.period for t in taskset))
-            try:
-                per_hp_uj = (
-                    float(result.energy.energy_per_ns(hyperperiod)) / 1e6
-                )
-            except OverflowError:
-                per_hp_uj = math.inf
-            dynamic_rows.append(
-                (
+                else assignment
+            )
+            # The overheads, seed, duration and execution times are fixed
+            # by the unit and the set, so the same assignment under the
+            # same class is the same run (FP-TS returns FFD's assignment
+            # whenever FFD accepts): simulate it once.
+            run_key = (
+                index,
+                spec.sched_class,
+                json.dumps(assignment_to_dict(simulated), sort_keys=True),
+            )
+            if run_key not in runs:
+                result = KernelSim(
+                    simulated,
+                    unit.overheads,
+                    duration=2 * max(task.period for task in taskset),
+                    execution_times={
+                        task.name: task.wcet for task in taskset
+                    },
+                    seed=unit.seed,
+                    sched_class=spec.sched_class,
+                ).run()
+                releases = max(1, result.releases)
+                hyperperiod = math.lcm(*(t.period for t in taskset))
+                energy = result.energy
+                try:
+                    per_hp_uj = float(energy.energy_per_ns(hyperperiod)) / 1e6
+                except OverflowError:
+                    per_hp_uj = math.inf
+                runs[run_key] = (
                     result.preemptions / releases,
                     result.migrations / releases,
-                    float(result.energy.average_power_mw),
+                    float(energy.average_power_mw),
                     per_hp_uj,
                 )
-            )
+            dynamic_rows.append(runs[run_key])
         accepted[name] = len(static_rows)
         if not static_rows:
             criteria[name] = None
@@ -569,12 +565,7 @@ def _execute_criteria(unit: CriteriaUnit) -> dict:
 def _execute_splitting(unit: SplittingUnit) -> dict:
     from repro.experiments.algorithms import build_assignment
 
-    generator = TaskSetGenerator(
-        n_tasks=unit.n_tasks,
-        seed=unit.seed,
-        period_min=unit.period_min,
-        period_max=unit.period_max,
-    )
+    generator = _generator(unit)
     sets_accepted = 0
     split_tasks_total = 0
     subtasks_total = 0
@@ -602,3 +593,24 @@ def _execute_splitting(unit: SplittingUnit) -> dict:
         "subtasks_total": subtasks_total,
         "migrations_per_second_total": migrations_per_second_total,
     }
+
+
+def _execute_workload(unit: WorkloadUnit) -> dict:
+    # Lazy import: repro.workload.synth pulls in the servers layer,
+    # which workers not running workload units never need.
+    from repro.workload.synth import run_workload_unit
+
+    return run_workload_unit(unit)
+
+
+#: The executor of each unit kind, looked up by :func:`execute_unit`.
+_EXECUTORS = {
+    "acceptance": _execute_acceptance,
+    "splitting": _execute_splitting,
+    "criteria": _execute_criteria,
+    "chaos": _execute_chaos,
+    "verify": _execute_verify,
+    "profile": _execute_profile,
+    "admission": execute_admission,
+    "workload": _execute_workload,
+}

@@ -220,13 +220,15 @@ def run_campaign(
     therefore CSV output) is identical to the original nested serial
     loops for any ``jobs``/``cache`` setting.
 
-    ``criteria=True`` additionally dispatches one
-    :class:`~repro.engine.CriteriaUnit` per grid point (same seed
-    contract as the acceptance unit, short simulations capped at
-    ``sim_sets`` accepted sets per algorithm) and fills the records'
-    multi-criteria axes.  A failed criteria unit leaves its records'
-    axes NaN (rendered ``-`` by :meth:`CampaignResult.pivot`) without
-    touching the acceptance measurement or ``failed_units``.
+    Each grid point is **one** unit.  ``criteria=True`` dispatches a
+    :class:`~repro.engine.CriteriaUnit` instead of the acceptance unit
+    (short simulations capped at ``sim_sets`` accepted sets per
+    algorithm); its ``accepted``/``total`` payload gives the acceptance
+    ratios — the same seed contract and the same accept test, so the
+    acceptance column is identical to a ``criteria=False`` run — and
+    its ``criteria`` payload fills the multi-criteria axes.  A failed
+    unit of either kind makes its point a gap: listed in
+    ``failed_units``, with no records.
     """
     if engine is None:
         engine = ExperimentEngine(jobs=jobs, cache=cache)
@@ -254,45 +256,33 @@ def run_campaign(
                     )
                 )
 
-    units = []
-    for _, config in cells:
-        units.extend(acceptance_units(config))
-    payloads = engine.run(units)
-
-    criteria_payloads: List[Optional[dict]] = []
+    units = [unit for _, config in cells for unit in acceptance_units(config)]
     if criteria:
-        criteria_units = []
-        for _, config in cells:
-            for point_index, normalized in enumerate(config.utilizations):
-                criteria_units.append(
-                    CriteriaUnit(
-                        n_cores=config.n_cores,
-                        n_tasks=config.n_tasks,
-                        sets_per_point=config.sets_per_point,
-                        utilization=normalized,
-                        seed=config.seed + 7919 * point_index,
-                        algorithms=tuple(config.algorithms),
-                        overheads=config.overheads,
-                        period_min=config.period_min,
-                        period_max=config.period_max,
-                        sim_sets=sim_sets,
-                    )
-                )
-        criteria_payloads = engine.run(criteria_units)
+        # Still one unit per point: the criteria unit's accepted/total
+        # payload is the acceptance unit's (same population, same test).
+        units = [
+            CriteriaUnit(
+                n_cores=unit.n_cores,
+                n_tasks=unit.n_tasks,
+                sets_per_point=unit.sets_per_point,
+                utilization=unit.utilization,
+                seed=unit.seed,
+                algorithms=unit.algorithms,
+                overheads=unit.overheads,
+                period_min=unit.period_min,
+                period_max=unit.period_max,
+                sim_sets=sim_sets,
+            )
+            for unit in units
+        ]
+    payloads = engine.run(units)
 
     result = CampaignResult()
     offset = 0
     for overhead_name, config in cells:
-        n_points = len(config.utilizations)
-        sweep = assemble_acceptance(
-            config, payloads[offset : offset + n_points]
-        )
-        point_criteria = (
-            criteria_payloads[offset : offset + n_points]
-            if criteria
-            else [None] * n_points
-        )
-        offset += n_points
+        point_payloads = payloads[offset : offset + len(config.utilizations)]
+        offset += len(config.utilizations)
+        sweep = assemble_acceptance(config, point_payloads)
         for failed_u in sweep.failed_utilizations:
             result.failed_units.append(
                 {
@@ -308,12 +298,9 @@ def run_campaign(
             ):
                 if math.isnan(acceptance):
                     continue  # listed in failed_units instead
-                payload = point_criteria[point_index]
                 measured = (
-                    (payload.get("criteria") or {}).get(algorithm)
-                    if payload
-                    else None
-                ) or {}
+                    point_payloads[point_index].get("criteria") or {}
+                ).get(algorithm) or {}
                 axes = {
                     axis: (
                         measured[axis]

@@ -182,6 +182,71 @@ class TestCriteria:
         assert again.records == criteria_campaign.records
 
 
+_TWO_CELLS = dict(
+    core_counts=(2,),
+    task_counts=(5,),
+    algorithms=("FP-TS", "FFD", "WFD"),
+    overhead_specs=(
+        ("zero", OverheadModel.zero()),
+        ("paper", OverheadModel.paper_core_i7(3)),
+    ),
+    utilizations=(0.7, 0.9),
+    sets_per_point=4,
+)
+
+
+class TestOneUnitPerPoint:
+    """A criteria campaign answers acceptance from its criteria units:
+    one unit per grid point, and the same acceptance as a plain run."""
+
+    def test_acceptance_columns_match_plain_campaign(self):
+        def first_six_columns(result):
+            return [
+                ",".join(line.split(",")[:6])
+                for line in result.to_csv().splitlines()
+            ]
+
+        plain = run_campaign(**_TWO_CELLS)
+        with_criteria = run_campaign(**_TWO_CELLS, criteria=True, sim_sets=1)
+        assert len(plain.records) == 12
+        assert first_six_columns(with_criteria) == first_six_columns(plain)
+
+    def test_cold_run_executes_one_unit_per_point(self, tmp_path):
+        from repro.engine import ExperimentEngine, ResultCache
+
+        engine = ExperimentEngine(cache=ResultCache(tmp_path))
+        run_campaign(**_TWO_CELLS, engine=engine, criteria=True, sim_sets=1)
+        points = 2 * len(_TWO_CELLS["utilizations"])  # two cells
+        assert engine.stats.units == points
+        assert engine.stats.computed == points
+        assert engine.stats.cache_misses == points
+
+    def test_failed_criteria_unit_is_a_gap(self):
+        partial = run_campaign(
+            core_counts=(2,),
+            task_counts=(5,),
+            algorithms=("FFD",),
+            utilizations=(0.6, 0.9),
+            sets_per_point=4,
+            engine=_FailPointEngine(fail_utilization=0.9),
+            criteria=True,
+            sim_sets=1,
+        )
+        assert [f["utilization"] for f in partial.failed_units] == [0.9]
+        assert {r.utilization for r in partial.records} == {0.6}
+        tables = {
+            value_key: partial.pivot(
+                row_key="algorithm",
+                column_key="utilization",
+                value_key=value_key,
+            )
+            for value_key in ("acceptance",) + CRITERIA_AXES
+        }
+        assert all("0.9" not in table for table in tables.values())
+        # (A criteria axis may truly measure 0, e.g. no preemptions.)
+        assert "0.000" not in tables["acceptance"]
+
+
 class _FailPointEngine:
     """Engine wrapper that nulls the payloads of one utilization point,
     exactly as ExperimentEngine does after exhausting retries."""

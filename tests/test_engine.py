@@ -10,6 +10,7 @@ import pytest
 from repro.engine import (
     CACHE_SCHEMA_VERSION,
     AcceptanceUnit,
+    CriteriaUnit,
     ExperimentEngine,
     ResultCache,
     SplittingUnit,
@@ -109,6 +110,108 @@ class TestWorkUnits:
         )
         with pytest.raises(ValueError, match="unknown work-unit kind"):
             execute_unit(unit)
+
+    def test_fingerprints_pinned(self):
+        # Cache keys of existing entries: a change here invalidates every
+        # cached payload and must come with a CACHE_SCHEMA_VERSION bump.
+        fields = dict(
+            n_cores=4,
+            n_tasks=12,
+            sets_per_point=100,
+            utilization=0.9,
+            seed=7,
+            algorithms=("FP-TS", "FFD", "WFD"),
+            overheads=OverheadModel.paper_core_i7(3),
+        )
+        assert CACHE_SCHEMA_VERSION == 4
+        assert unit_fingerprint(CriteriaUnit(**fields, sim_sets=2)) == (
+            "01cf26b434f5df4078861379e96b1caca41c0a9e68d35beceae6fdfd6f211bfe"
+        )
+        assert unit_fingerprint(AcceptanceUnit(**fields)) == (
+            "15e35893f9f8aa4435ba75e67aee3a63f46f2692f1e61d9ddcfa29e99394c986"
+        )
+
+
+def _criteria_unit(algorithms, seed, utilization, overheads, platform=(4, 10)):
+    n_cores, n_tasks = platform
+    return CriteriaUnit(
+        n_cores=n_cores,
+        n_tasks=n_tasks,
+        sets_per_point=6,
+        utilization=utilization,
+        seed=seed,
+        algorithms=tuple(algorithms),
+        overheads=overheads,
+        sim_sets=2,
+    )
+
+
+class TestCriteriaUnit:
+    """A criteria unit simulates each distinct (set, class, assignment)
+    run once; reusing a row must not change any algorithm's entry."""
+
+    @pytest.mark.parametrize(
+        "algorithms, platform, utilizations, overheads",
+        [
+            (
+                ("FP-TS", "FFD", "WFD"),
+                (4, 10),
+                (0.7, 0.9),
+                OverheadModel.paper_core_i7(3),
+            ),
+            # G-EDF and G-RM simulate the same placeholder assignment;
+            # only the class tells their runs apart (seed 2, U/m 0.3).
+            (
+                ("P-EDF", "C=D", "G-EDF", "G-RM"),
+                (2, 4),
+                (0.3, 0.5),
+                OverheadModel.zero(),
+            ),
+        ],
+        ids=["fp", "edf-and-global"],
+    )
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_entries_equal_one_algorithm_units(
+        self, algorithms, platform, utilizations, overheads, seed
+    ):
+        for utilization in utilizations:
+            full = execute_unit(
+                _criteria_unit(
+                    algorithms, seed, utilization, overheads, platform
+                )
+            )
+            for name in algorithms:
+                alone = execute_unit(
+                    _criteria_unit(
+                        (name,), seed, utilization, overheads, platform
+                    )
+                )
+                assert alone["accepted"] == {name: full["accepted"][name]}
+                assert alone["criteria"] == {name: full["criteria"][name]}
+                assert alone["total"] == full["total"]
+
+    def test_kernel_sim_runs_pinned(self, monkeypatch):
+        from repro.kernel.sim import KernelSim
+
+        calls = []
+        run = KernelSim.run
+
+        def counting_run(sim):
+            calls.append(sim)
+            return run(sim)
+
+        monkeypatch.setattr(KernelSim, "run", counting_run)
+        payload = execute_unit(
+            _criteria_unit(
+                ("FP-TS", "FFD", "WFD"), 0, 0.9, OverheadModel.paper_core_i7(3)
+            )
+        )
+        # 2 + 2 + 2 dynamic rows: FP-TS simulates sets 0 and 1, FFD
+        # (which rejects set 1) sets 0 and 2, WFD sets 0 and 3.  FFD's
+        # set-0 assignment is FP-TS's, so that run is reused; WFD packs
+        # set 0 differently.
+        assert payload["accepted"] == {"FP-TS": 6, "FFD": 5, "WFD": 4}
+        assert len(calls) == 5
 
 
 # ------------------------------------------------------------ determinism
