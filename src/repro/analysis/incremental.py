@@ -25,14 +25,17 @@ the candidate can actually change:
   lower bound of the response *with* the candidate's interference added,
   hence a correct warm start — the iteration lands on the identical
   fixed point, usually in one or two steps instead of dozens;
-* **budget binary searches live inside the context.**
+* **budget searches live inside the context.**
   :meth:`~CoreAnalysisContext.probe_budget` evaluates each candidate
   budget at most once (the from-scratch helpers used to probe the lower
   bound twice) and warm-starts each probe from the responses of the last
   *feasible* (hence smaller) budget — valid because shrinking a body's
   budget by ``d`` shrinks its response by at least ``d`` and shrinks
   everyone else's interference, so the smaller budget's responses lower-
-  bound the larger budget's.
+  bound the larger budget's.  On an RTA core it probes first the budget
+  ``c`` the time-demand bound of the entries below allows, then ``c + 1``:
+  by downward closure that pair proves the maximum in three probes; on a
+  miss, binary search covers the range left open.
 
 :mod:`repro.analysis.rta` and :mod:`repro.analysis.edf` stay untouched
 as the independent oracles: the ``context-vs-oracle`` differential pair
@@ -66,7 +69,7 @@ class AnalysisStats:
     ``fixpoint_iterations`` counts inner RTA fixed-point steps — the
     quantity the incremental engine exists to shrink; ``probes`` counts
     candidate feasibility questions, ``budget_searches`` completed
-    binary searches, ``edf_tests`` full processor-demand evaluations.
+    budget searches, ``edf_tests`` full processor-demand evaluations.
     """
 
     __slots__ = ("fixpoint_iterations", "probes", "budget_searches", "edf_tests")
@@ -151,6 +154,15 @@ def _raw_budget(entry: Entry) -> int:
     return entry.budget
 
 
+#: Utilization above which :meth:`CoreAnalysisContext.probe` rejects a
+#: candidate without any fixed point (the epsilon absorbs float error).
+_UTIL_LIMIT = 1.0 + 1e-9
+
+#: Scheduling-point evaluations a budget guess may spend, about a ~24-probe
+#: bisection; a 100 us period under a 10 s deadline would need ~10^5.
+_GUESS_WORK = 2048
+
+
 class _ProbeResult:
     """Outcome of one successful probe, kept for commit/warm-start reuse."""
 
@@ -166,7 +178,7 @@ class _ProbeResult:
 
 
 class _BudgetSearchMixin:
-    """Shared maximal-budget binary search (downward-closed feasibility).
+    """Shared maximal-budget search (downward-closed feasibility).
 
     Evaluates each candidate budget at most once — the from-scratch
     helpers this replaces probed the lower bound twice (once for
@@ -182,7 +194,13 @@ class _BudgetSearchMixin:
     ) -> Tuple[Optional[int], Optional[int]]:
         """Largest budget ``b`` in ``[lo, hi]`` whose ``build(b)`` entry
         the core admits, with that probe's response; ``(None, None)``
-        when even ``lo`` fails (or ``build`` vetoes it)."""
+        when even ``lo`` fails (or ``build`` vetoes it).
+
+        Feasible budgets form a prefix of ``[lo, hi]``, so feasible ``c``
+        next to infeasible ``c + 1`` proves ``c`` maximal.  A context's
+        guess ``c`` (:meth:`_budget_guess`) and ``c + 1`` are probed
+        first and binary search covers what they leave open: the guess
+        sets the probe count, never the answer."""
         if hi < lo:
             return None, None
         entry = build(lo)
@@ -191,9 +209,14 @@ class _BudgetSearchMixin:
             return None, None
         best, best_response = lo, response
         warm = self._capture_warm()
+        guess = self._budget_guess(lo, hi, warm)
+        seeds = iter(() if guess is None else (guess, guess + 1))
         low, high = lo + 1, hi
         while low <= high:
-            mid = (low + high) // 2
+            mid = next(
+                (seed for seed in seeds if low <= seed <= high),
+                (low + high) // 2,
+            )
             entry = build(mid)
             response = (
                 self.probe(entry, warm=warm) if entry is not None else None
@@ -207,6 +230,9 @@ class _BudgetSearchMixin:
         self.stats.budget_searches += 1
         self._restore_warm(warm)
         return best, best_response
+
+    def _budget_guess(self, lo: int, hi: int, warm) -> Optional[int]:
+        return None
 
     def _capture_warm(self):
         return None
@@ -309,7 +335,7 @@ class CoreAnalysisContext(_BudgetSearchMixin):
         # an RTA-schedulable core has U <= 1).  Skipping the divergent
         # fixed-point iterations changes no decision; the epsilon keeps
         # float accumulation error from ever rejecting a true U <= 1.
-        if self._utilization + util > 1.0 + 1e-9:
+        if self._utilization + util > _UTIL_LIMIT:
             return None
         if warm is not None:
             key = warm.key
@@ -398,6 +424,46 @@ class CoreAnalysisContext(_BudgetSearchMixin):
         # After a budget search the last *successful* probe is the best
         # budget's, so a commit of the winning entry can reuse it.
         self._last = warm
+
+    def _budget_guess(self, lo: int, hi: int, warm) -> Optional[int]:
+        """Budget search maximum from the time-demand bound of each entry
+        below the slot, if the analysis budget is ``a_lo + (b - lo)`` and
+        the candidate's own deadline does not bind; ``None`` when the scan
+        would cost more than bisecting.  Entry ``i`` passes iff some ``t``
+        in ``[R_i(lo), D_i - tick]`` has ``C_i + I_i(t) + n(t) * a <= t``
+        (``I_i``: interference from above ``i``; ``n(t) = ceil((t + J_c) /
+        T_c)`` candidate jobs), so the largest ``a`` is the maximum over
+        ``t`` of ``floor((t - C_i - I_i(t)) / n(t))``.  That ratio rises
+        between ceiling steps: only ``D_i - tick`` and each step's last
+        instant ``m * T_j - J_j`` need evaluating."""
+        a_lo, period_c, jitter_c = warm.triple
+        # Largest budget the utilization fast path of probe() admits.
+        util = self._utilization
+        guess = min(hi, int((_UTIL_LIMIT - util) * period_c) + 2)
+        while util + guess / period_c > _UTIL_LIMIT:
+            guess -= 1
+        triples = self._triples
+        work = _GUESS_WORK
+        for index in range(warm.pos, len(self.entries)):
+            c_i = triples[index][0]
+            horizon = self.entries[index].deadline - self.tick_ns
+            start = warm.below[index - warm.pos]
+            higher = triples[:index]
+            points = {horizon}
+            for _, period, jitter in higher + [warm.triple]:
+                t = -(-(start + jitter) // period) * period - jitter
+                steps = range(t, horizon + 1, period)
+                work -= len(steps) * (index + 1)
+                if work < 0:
+                    return None
+                points.update(steps)
+            room = max(
+                (t - c_i - sum(-(-(t + j) // p) * w for w, p, j in higher))
+                // -(-(t + jitter_c) // period_c)
+                for t in points
+            )
+            guess = min(guess, lo + room - a_lo)
+        return guess
 
     # -- mutation -------------------------------------------------------
 

@@ -13,10 +13,12 @@ paper's reference [4]):
      bodies' cumulative completion bound ``S`` and synthetic deadline
      ``D - S``;
    * otherwise give the core the **maximal body budget** it can host (found
-     by binary search, checked with exact RTA of the whole core), pinned at
-     the top of the core's local priority order, and move on with the rest.
+     from the time-demand bound and confirmed, or by binary search, each
+     candidate checked with exact RTA of the whole core), pinned at the
+     top of the core's local priority order, and move on with the rest.
 
-4. Fail only if the remainder survives all cores.
+4. Fail only if the remainder survives all cores (or, up front, if the
+   total utilization exceeds the core count).
 
 Soundness bookkeeping:
 
@@ -45,6 +47,7 @@ tried.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
@@ -274,9 +277,9 @@ class _Splitter:
         ``S_prev + R(b) + (remaining - b) + tail_reserve <= D`` — i.e. even
         a zero-interference tail must still be able to make it.
 
-        The search itself lives in the context (``probe_budget``): each
-        candidate budget is probed exactly once, and successive probes
-        warm-start from the last feasible budget's responses.
+        The search lives in the context (``probe_budget``): it confirms
+        the time-demand bound's budget with two probes unless (ii) binds,
+        and bisects otherwise, probing each budget at most once.
         """
         config = self.config
 
@@ -368,6 +371,12 @@ def fpts_partition(
                 f"task {task.name} has no priority; call "
                 "assign_rate_monotonic() before partitioning"
             )
+    # Exact: RTA-feasible cores have U <= 1 (CoreAnalysisContext.probe)
+    # and pieces sum to their task's WCET, so accepted sets have U <= m;
+    # correctly rounded quotients and fsum err by a factor < 1 + 1e-12.
+    utilization = math.fsum(task.utilization for task in taskset)
+    if utilization > n_cores * (1 + 1e-12):
+        return None
     splitter = _Splitter(n_cores, config)
     for task in taskset.sorted_by_utilization(descending=True):
         if splitter.try_whole(task):

@@ -130,6 +130,24 @@ class TestSplitting:
             FptsConfig(min_chunk=0)
 
 
+class TestEarlyUtilizationReject:
+    """Sets with U > m are rejected before any probe; U == m is not."""
+
+    def test_overloaded_set_rejected_without_probes(self):
+        from repro.analysis import STATS
+
+        ts = _ts((6, 10), (6, 10), (6, 10), (6, 10))  # U = 2.4 on 2
+        before = STATS.probes
+        assert fpts_partition(ts, 2) is None
+        assert STATS.probes == before
+
+    def test_utilization_exactly_m_still_accepted(self):
+        ts = _ts((5, 10), (5, 10), (5, 10), (5, 10))  # U = 2.0 on 2
+        assignment = fpts_partition(ts, 2)
+        assert assignment is not None
+        assert assignment_schedulable(assignment)
+
+
 class TestDominance:
     @given(seed=st.integers(min_value=0, max_value=200))
     @settings(max_examples=40, deadline=None)

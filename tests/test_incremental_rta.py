@@ -9,7 +9,9 @@ Four concerns:
   ``context-vs-oracle`` differential pair widens this to random
   probe / commit / install / remove / clone / budget-search sequences);
 * ``probe_budget`` must evaluate each candidate budget at most once — the
-  from-scratch helpers it replaced probed the lower bound twice;
+  from-scratch helpers it replaced probed the lower bound twice — and,
+  on an RTA core, confirm the time-demand guess with two probes, falling
+  back to bisection (same answer) when the guess misses;
 * a failed ``try_split`` must leave the splitter exactly as if the
   attempt never happened — ``body_rank`` used to leak;
 * the warm starts must actually save work: a pinned fixed-point
@@ -137,10 +139,84 @@ def test_rta_probe_budget_probes_each_budget_once():
     # deadline == budget, so the largest feasible budget is exactly 5 ms.
     assert best == 5 * MS
     assert response == 5 * MS
-    assert len(seen) == len(set(seen)), f"duplicate probes: {seen}"
-    assert seen[0] == 1 and seen.count(1) == 1  # lo probed exactly once
+    # lo, then the time-demand guess and the probe one above it that
+    # proves it maximal — no bisection.
+    assert seen == [1, 5 * MS, 5 * MS + 1]
     assert stats.probes == len(seen)
     assert stats.budget_searches == 1
+
+
+def _bisect_reference(ctx, lo, hi, build):
+    """Plain binary search with cold probes on a throwaway clone."""
+
+    def probe(b):
+        entry = build(b)
+        return None if entry is None else ctx.clone().probe(entry)
+
+    best = None
+    low, high = lo, hi
+    while low <= high:
+        mid = (low + high) // 2
+        if probe(mid) is not None:
+            best, low = mid, mid + 1
+        else:
+            high = mid - 1
+    return best, None if best is None else probe(best)
+
+
+def _body_family(task, deadline_of, rank=1):
+    def build(b):
+        return Entry(
+            kind=EntryKind.BODY,
+            task=task,
+            core=0,
+            budget=b,
+            subtask=Subtask(
+                task=task, index=0, core=0, budget=b, total_subtasks=2
+            ),
+            deadline=deadline_of(b),
+            body_rank=rank,
+        )
+
+    return build
+
+
+def test_rta_probe_budget_guess_miss_with_scaled_budget_fn():
+    """The guess assumes the analysis budget grows 1:1 with the raw
+    one; at twice the raw budget it overshoots, and the bisection that
+    follows must still land on the true maximum."""
+    ctx = CoreAnalysisContext(budget_fn=lambda e: 2 * e.budget)
+    ctx.install(_normal_entry(Task("r", wcet=2 * MS, period=10 * MS)
+                              .with_priority(0)))
+    task = Task("s", wcet=9 * MS, period=10 * MS).with_priority(1)
+    build = _body_family(task, lambda b: 9 * MS)
+    reference = _bisect_reference(ctx, 1, 9 * MS - 1, build)
+    seen = []
+    _spy_probe(ctx, seen)
+
+    best, response = ctx.probe_budget(1, 9 * MS - 1, build)
+    assert (best, response) == reference == (3 * MS, 6 * MS)
+    assert seen[1] != best and len(seen) > 3  # the guess missed
+    assert len(seen) == len(set(seen)), f"duplicate probes: {seen}"
+
+
+def test_rta_probe_budget_guess_miss_when_own_deadline_binds():
+    """FP-TS-shaped family (deadline = budget + 3 ms) under a higher
+    body of 2 ms every 5 ms: past 3 ms the second interfering job breaks
+    the body's own deadline, which the guess does not model."""
+    ctx = CoreAnalysisContext()
+    above = Task("h", wcet=4 * MS, period=5 * MS).with_priority(0)
+    ctx.install(_body_family(above, lambda b: 5 * MS, rank=0)(2 * MS))
+    task = Task("s", wcet=15 * MS, period=20 * MS).with_priority(1)
+    build = _body_family(task, lambda b: b + 3 * MS)
+    reference = _bisect_reference(ctx, 1, 15 * MS - 1, build)
+    seen = []
+    _spy_probe(ctx, seen)
+
+    best, response = ctx.probe_budget(1, 15 * MS - 1, build)
+    assert (best, response) == reference == (3 * MS, 5 * MS)
+    assert seen[1] != best and len(seen) > 3  # the guess missed
+    assert len(seen) == len(set(seen)), f"duplicate probes: {seen}"
 
 
 def test_edf_probe_budget_probes_each_budget_once():
@@ -204,6 +280,26 @@ def test_cd_split_max_chunk_no_duplicate_probe():
     assert chunk == 5
     assert len(seen) == len(set(seen)), f"duplicate probes: {seen}"
     assert seen.count(1) == 1
+
+
+def test_rta_probe_budget_bisects_when_guess_would_cost_more():
+    """A 100 us period above a 10 s deadline puts ~10^5 scheduling
+    points in the low entry's window; the guess gives up and bisection
+    answers, as it would have without the guess."""
+    ctx = CoreAnalysisContext()
+    ctx.install(_normal_entry(Task("h", wcet=30_000, period=100_000)
+                              .with_priority(0)))
+    ctx.install(_normal_entry(Task("l", wcet=2000 * MS, period=10_000 * MS)
+                              .with_priority(2)))
+    task = Task("s", wcet=15 * MS, period=20 * MS).with_priority(1)
+    build = _body_family(task, lambda b: 20 * MS)
+    reference = _bisect_reference(ctx, 1000, 15 * MS - 1, build)
+    seen = []
+    _spy_probe(ctx, seen)
+
+    assert ctx.probe_budget(1000, 15 * MS - 1, build) == reference
+    assert reference == (70_000, 70_000)
+    assert len(seen) > 3  # bisected
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +401,26 @@ def test_incremental_does_fewer_fixpoint_iterations():
     STATS.reset()
     assert work["probes"] == 33
     assert work["fixpoint_iterations"] == 68
+
+
+def test_split_search_work_is_pinned():
+    """Pinned work for one FP-TS run that splits two tasks (12 tasks
+    on 4 cores, U/m = 0.95, paper overheads; FFD rejects the set).
+    Bisecting each body budget took 87 probes and 381 fixed-point
+    iterations for the same 2 budget searches; a guess that stops
+    confirming falls back to bisection and fails here."""
+    from repro.overhead.model import OverheadModel
+
+    taskset = TaskSetGenerator(n_tasks=12, seed=0).generate(3.8)
+    model = OverheadModel.paper_core_i7(3)
+    STATS.reset()
+    assignment = build_assignment("FP-TS", taskset, 4, model)
+    work = STATS.snapshot()
+    STATS.reset()
+    assert assignment is not None and assignment.n_split_tasks == 2
+    assert work["budget_searches"] == 2
+    assert work["probes"] == 44
+    assert work["fixpoint_iterations"] == 132
 
 
 def test_record_analysis_stats_publishes_ana_counters():
