@@ -30,12 +30,13 @@ a time; this module packs a whole population into aligned numpy arrays
 
 The packer (:func:`batch_partition_accept`) replays the decreasing-
 utilization bin-packing heuristics (first/next/best/worst-fit) over all
-lanes simultaneously; committed state per (lane, core) — membership
-masks, commit-order float utilization, cached responses for warm starts
-— lives in struct-of-arrays form.  Splitting decisions stay scalar: the
-batch layer answers the admit/reject and response-time queries that the
-plain partitioners ask, and anything it cannot express falls back to
-the scalar contexts lane by lane (see
+lanes simultaneously; committed state — per (row, core) commit-order
+float utilization, per (row, task) the core a task sits on and its
+cached response for warm starts — lives in struct-of-arrays form.
+Splitting decisions stay scalar: the batch layer answers the admit/
+reject and response-time queries that the plain partitioners ask, and
+anything it cannot express falls back to the scalar contexts lane by
+lane (see
 ``repro.experiments.algorithms.accept_population``).
 
 Work is counted in a :class:`BatchStats` (module-global
@@ -75,6 +76,10 @@ FASTPATH_MARGIN = 1e-9
 #: Maximum (rows x checkpoints) the shared EDF demand grid may reach
 #: before constrained-deadline rows fall back to the scalar test.
 MAX_DEMAND_CELLS = 4_000_000
+
+#: Most padded (probe, position, source) cells one batched fixed-point
+#: call takes; a packing step with more runs its probes in buckets.
+PROBE_CELLS = 1 << 13
 
 PLACEMENTS = ("first-fit", "next-fit", "best-fit", "worst-fit")
 
@@ -220,15 +225,34 @@ class TaskSetPopulation:
             names=tuple(names),
         )
 
-    def tasksets(
-        self, lanes: Optional[Sequence[int]] = None
-    ) -> List[TaskSet]:
-        """Materialize scalar :class:`TaskSet` objects (priority order,
-        priorities 0..n-1) — the lane-wise fallback path.  ``lanes``
-        selects which rows to build, in that order (default: all)."""
-        out = []
-        for row in range(self.n_sets) if lanes is None else lanes:
-            tasks = [
+    @classmethod
+    def concat(
+        cls, populations: Sequence["TaskSetPopulation"]
+    ) -> "TaskSetPopulation":
+        """One population holding every lane of ``populations``, in
+        order (all must have the same task count)."""
+        if len(populations) == 1:
+            return populations[0]
+        sizes = {pop.n_tasks for pop in populations}
+        if len(sizes) > 1:
+            raise PopulationError(
+                f"populations have differing task counts {sorted(sizes)}"
+            )
+        return cls(
+            wcet=np.concatenate([pop.wcet for pop in populations]),
+            period=np.concatenate([pop.period for pop in populations]),
+            deadline=np.concatenate([pop.deadline for pop in populations]),
+            wss=np.concatenate([pop.wss for pop in populations]),
+            names=tuple(
+                lane for pop in populations for lane in pop.names
+            ),
+        )
+
+    def taskset(self, row: int) -> TaskSet:
+        """Materialize lane ``row`` as a scalar :class:`TaskSet`
+        (priority order, priorities 0..n-1) — the lane-wise fallback."""
+        return TaskSet(
+            [
                 Task(
                     name=self.names[row][col],
                     wcet=int(self.wcet[row, col]),
@@ -238,8 +262,15 @@ class TaskSetPopulation:
                 ).with_priority(col)
                 for col in range(self.n_tasks)
             ]
-            out.append(TaskSet(tasks))
-        return out
+        )
+
+    def tasksets(
+        self, lanes: Optional[Sequence[int]] = None
+    ) -> List[TaskSet]:
+        """:meth:`taskset` of every lane in ``lanes``, in that order
+        (default: all)."""
+        rows = range(self.n_sets) if lanes is None else lanes
+        return [self.taskset(row) for row in rows]
 
     def inflated_wcet(self, model: OverheadModel) -> np.ndarray:
         """Per-lane overhead inflation, exactly as
@@ -500,6 +531,7 @@ def _fixed_point(
             if keep.size == 0:
                 return out
             idx = idx[keep]
+            num = acc = None  # free the work buffers before the gathers
             r = np.ascontiguousarray(r[keep])
             budget_w = budget_w[keep]
             cap_w = cap_w[keep]
@@ -536,6 +568,7 @@ def _fixed_point(
             out[idx] = r
             keep = np.flatnonzero(changing)
             idx = idx[keep]
+            num = acc = None  # free the work buffers before the gathers
             r = r[keep]
             budget_w = budget_w[keep]
             cap_w = cap_w[keep]
@@ -790,16 +823,9 @@ def batch_partition_accept_multi(
             int(period.max()) < (1 << 52)
             and int(deadline.max()) < (1 << 52)
         )
-        static = (
-            rm_ok,
-            in_range,
-            np.all(deadline == period, axis=1),
-            _name_ranks(population.names) if rm_ok else None,
-            period.astype(np.float64) if rm_ok and in_range else None,
-            deadline.astype(np.float64) if rm_ok and in_range else None,
-        )
+        static = (rm_ok, in_range, np.all(deadline == period, axis=1))
         memo["static"] = static
-    rm_ok, in_range, implicit, name_rank, period_f, deadline_f = static
+    rm_ok, in_range, implicit = static
     if not rm_ok:
         raise PopulationError(
             "lane priority order is not rate-monotonic (periods not "
@@ -814,18 +840,18 @@ def batch_partition_accept_multi(
     stats.lanes += n_cfg * lanes
     derived = memo.get("model")
     if derived is None or derived[0] is not model:
-        cost = population.inflated_wcet(model)
-        if cost.size and int(cost.max()) >= (1 << 52):
+        cost_f = population.inflated_wcet(model).astype(np.float64)
+        if cost_f.size and cost_f.max() >= float(1 << 52):
             raise PopulationError(
                 "inflated budgets at or above 2**52 ns exceed the exact "
                 "range of the float64 packing state"
             )
-        u = cost / period
+        u = cost_f / period
         derived = (
             model,
-            cost.astype(np.float64),
+            cost_f,
             u,
-            _placement_order(u, name_rank),
+            _placement_order(u, _name_ranks(population.names)),
             u.sum(axis=1),
             np.prod(1.0 + u, axis=1),
         )
@@ -881,14 +907,13 @@ def batch_partition_accept_multi(
     # elementwise work and never probe) until enough accumulate to pay
     # for physically compressing all the state; ``orig`` maps compact
     # rows back to original (config, lane) rows.
+    # Per-lane inputs (costs, periods, deadlines, utilizations, orders)
+    # are not copied per config row: ``lane_t`` maps each compact row to
+    # its lane, and the step gathers what it reads.
     n_rows = cfg_idx.size
     orig = np.arange(n_rows)
-    cost_t = cost_f[lane_idx]
-    period_t = period_f[lane_idx]
-    deadline_t = deadline_f[lane_idx]
-    u_t = u[lane_idx]
+    lane_t = lane_idx
     implicit_t = implicit[lane_idx]
-    order = order_full[lane_idx]
     is_rta_t = is_rta_cfg[cfg_idx]
     eps_t = eps_cfg[cfg_idx]
     n_cfgs = p_code_cfg.size
@@ -911,12 +936,15 @@ def batch_partition_accept_multi(
         return groups
 
     groups = _config_groups()
-    # All packing state is float64 holding exact integer ns (guarded
+    # All timing state is float64 holding exact integer ns (guarded
     # above): it feeds the float fixed-point loop without conversions.
-    member_cost = np.zeros((n_rows, n_cores, n), dtype=np.float64)
+    # A placed task only ever sits on one core, so membership is one
+    # core index per (row, task) (-1 = not placed yet) and the cached
+    # response of a task is the one on its own core.
+    core_of = np.full((n_rows, n), -1, dtype=np.int32)
     core_util = np.zeros((n_rows, n_cores), dtype=np.float64)
     hyper = np.ones((n_rows, n_cores), dtype=np.float64)
-    response_cache = np.zeros((n_rows, n_cores, n), dtype=np.float64)
+    response_cache = np.zeros((n_rows, n), dtype=np.float64)
     pointer = np.zeros(n_rows, dtype=np.int64)
     alive = np.ones(n_rows, dtype=bool)  # over compact rows
     alive_full = np.ones(n_rows, dtype=bool)  # over original rows
@@ -928,8 +956,8 @@ def batch_partition_accept_multi(
         rows = orig.size
         if rows == n_zombies:
             break
-        pos = order[:, step]
-        cand_u = u_t[np.arange(rows), pos]
+        pos = order_full[lane_t, step]
+        cand_u = u[lane_t, pos]
         util_ok = core_util + cand_u[:, None] <= 1.0 + eps_t[:, None]
         for s, e, pc, _rta in groups:
             if pc == _NEXT_FIT:
@@ -952,9 +980,7 @@ def batch_partition_accept_multi(
             int(np.count_nonzero(~rta_row & alive)) * n_cores
         )
 
-        probe_row = np.full((rows, n_cores), -1, dtype=np.int64)
-        probe_r = None
-        probe_rel = None
+        wave2 = None
         need = util_ok & ~hyper_ok & rta_row[:, None]
         if need.any():
             # Preference-order cutoff: the step commits the *first*
@@ -991,10 +1017,11 @@ def batch_partition_accept_multi(
                 stats.probes_rta += count
                 used_vector[orig[sel]] = True
                 p_ins = pos[pr_row]
-                cmask = member_cost[sel, pr_core]  # fancy index: a copy
+                lanes = lane_t[sel]
+                # Members of the probed core, plus the candidate.
+                member = core_of[sel] == pr_core[:, None]
                 rows_i = np.arange(count)
-                cmask[rows_i, p_ins] = cost_t[sel, p_ins]
-                member = cmask > 0
+                member[rows_i, p_ins] = True
                 counts = member.sum(axis=1)
                 admit_probe = np.empty(count, dtype=bool)
                 probe_r = np.zeros((count, n + 1), dtype=np.float64)
@@ -1011,7 +1038,6 @@ def batch_partition_accept_multi(
                 # (rows, P, K).  Left-justification is a cumsum-ranked
                 # scatter (cheaper than an argsort).
                 def probe_bucket(bsel: np.ndarray) -> None:
-                    cm = cmask[bsel]
                     mem = member[bsel]
                     cnt = counts[bsel]
                     K = int(cnt.max())
@@ -1022,9 +1048,9 @@ def batch_partition_accept_multi(
                     just[rr, rank[rr, cc]] = cc
                     valid = np.arange(K)[None, :] < cnt[:, None]
                     bcol = np.arange(bcount)[:, None]
-                    lane = sel[bsel][:, None]
-                    cost_k = np.where(valid, cm[bcol, just], 0.0)
-                    period_k = np.where(valid, period_t[lane, just], 1.0)
+                    lane = lanes[bsel][:, None]
+                    cost_k = np.where(valid, cost_f[lane, just], 0.0)
+                    period_k = np.where(valid, period[lane, just], 1.0)
                     prefix_k = np.cumsum(cost_k, axis=1)
                     # Relevant positions (the candidate and its lower-
                     # priority members) are a contiguous *suffix* of the
@@ -1042,16 +1068,16 @@ def batch_partition_accept_multi(
                     )
                     validp = np.arange(P)[None, :] < rcounts[:, None]
                     cols_p = just[bcol, rjust]  # original column per position
-                    budget_p = np.where(validp, cm[bcol, cols_p], 0.0)
-                    dead_p = deadline_t[lane, cols_p]
+                    budget_p = np.where(validp, cost_f[lane, cols_p], 0.0)
+                    dead_p = deadline[lane, cols_p]
                     # A response is at least the budget plus one job of
                     # every higher-priority member (each ceil term is >= 1),
                     # so the inclusive member-cost prefix sum is a valid
                     # warm-start lower bound alongside the cached committed
-                    # responses (a single three-axis gather).
-                    cache_p = response_cache[
-                        sel[bsel][:, None], pr_core[bsel][:, None], cols_p
-                    ]
+                    # responses (every position but the unplaced candidate
+                    # is a member of the probed core, whose response is
+                    # the cached one; the candidate's entry is still 0).
+                    cache_p = response_cache[sel[bsel][:, None], cols_p]
                     start_p = np.maximum(cache_p, prefix_k[bcol, rjust])
                     # Position at compact source index rjust[p] is
                     # interfered by exactly the sources before it in compact
@@ -1081,17 +1107,29 @@ def batch_partition_accept_multi(
                     probe_r[bsel[:, None], cols_safe] = r_p
                     probe_rel[bsel[:, None], cols_safe] = validp
 
-                # Bucket probe rows by member count so sparsely filled cores
-                # do not pay the padded tensor width of the fullest core in
-                # the step (the K axis is a per-bucket maximum).
+                # A bucket row holds (n) task columns and pads to its
+                # widest row's K x K (position, source) cells (P <= K).
+                # Past PROBE_CELLS, sort the rows by member count and cut
+                # them into consecutive buckets of at most PROBE_CELLS
+                # such cells: sparsely filled cores do not pay the width
+                # of the fullest core in the step, and the bucket arrays
+                # stay bounded however many lanes the population holds.
+                # Bucket [start, stop) fits iff stop - start <=
+                # room[stop - 1], i.e. ends[stop - 1] <= start; ``ends``
+                # strictly increases, so a binary search finds the
+                # longest fitting bucket.
                 k_max = int(counts.max())
-                if count > 1024 and k_max > 4:
-                    split = (k_max + 1) // 2
-                    small = counts <= split
-                    for bucket in (np.flatnonzero(small),
-                                   np.flatnonzero(~small)):
-                        if bucket.size:
-                            probe_bucket(bucket)
+                if count * (n + k_max * k_max) > PROBE_CELLS:
+                    by_count = np.argsort(counts, kind="stable")
+                    room = np.maximum(
+                        PROBE_CELLS // (n + counts[by_count] ** 2), 1
+                    )
+                    ends = np.arange(1, count + 1) - room
+                    start = 0
+                    while start < count:
+                        stop = int(np.searchsorted(ends, start, "right"))
+                        probe_bucket(by_count[start:stop])
+                        start = stop
                 else:
                     probe_bucket(rows_i)
                 return (
@@ -1110,27 +1148,26 @@ def batch_partition_accept_multi(
             first_core = np.argmin(need_pref, axis=1)
             rows1 = np.flatnonzero(need.any(axis=1))
             core1 = first_core[rows1]
-            pieces = [(rows1, core1) + run_probes(rows1, core1)]
-            failed1 = rows1[~pieces[0][2]]
+            admit1, r1, rel1 = run_probes(rows1, core1)
+            admit[rows1, core1] = admit1
+            # A wave-1 admit is the row's selection, so its responses go
+            # to the cache now: the probe's relevant positions are the
+            # candidate and its lower-priority members, all on that core
+            # once the step commits.
+            won = rows1[admit1]
+            response_cache[won] = np.where(
+                rel1[admit1], r1[admit1], response_cache[won]
+            )
+            failed1 = rows1[~admit1]
             if failed1.size:
                 need2 = need[failed1]
                 need2[np.arange(failed1.size), first_core[failed1]] = False
                 s_row, s_core = np.nonzero(need2)
                 if s_row.size:
                     rows2 = failed1[s_row]
-                    pieces.append(
-                        (rows2, s_core) + run_probes(rows2, s_core)
-                    )
-            if len(pieces) == 1:
-                a_row, a_core, admit_probe, probe_r, probe_rel = pieces[0]
-            else:
-                a_row = np.concatenate([p[0] for p in pieces])
-                a_core = np.concatenate([p[1] for p in pieces])
-                admit_probe = np.concatenate([p[2] for p in pieces])
-                probe_r = np.vstack([p[3] for p in pieces])
-                probe_rel = np.vstack([p[4] for p in pieces])
-            admit[a_row, a_core] = admit_probe
-            probe_row[a_row, a_core] = np.arange(a_row.size)
+                    admit2, r2, rel2 = run_probes(rows2, s_core)
+                    admit[rows2, s_core] = admit2
+                    wave2 = (rows2, s_core, admit2, r2, rel2)
 
         for s, e, pc, rta in groups:
             if rta:
@@ -1143,15 +1180,16 @@ def batch_partition_accept_multi(
                 continue
             sel = er + s
             used_vector[orig[sel]] = True
-            cmask = member_cost[sel, ec]  # fancy index: a copy
+            lanes = lane_t[sel]
+            cmask = np.where(core_of[sel] == ec[:, None], cost_f[lanes], 0.0)
             rows_i = np.arange(sel.size)
-            cmask[rows_i, pos[sel]] = cost_t[sel, pos[sel]]
+            cmask[rows_i, pos[sel]] = cost_f[lanes, pos[sel]]
             # The demand test mixes its own int64 grids in; hand it
-            # int64 views (the float state holds exact integers).
+            # int64 arrays (the float state holds exact integers).
             admit[sel, ec] = _edf_demand_rows(
                 cmask.astype(np.int64),
-                period_t[sel].astype(np.int64),
-                deadline_t[sel].astype(np.int64),
+                period[lanes],
+                deadline[lanes],
                 stats,
             )
 
@@ -1181,22 +1219,18 @@ def batch_partition_accept_multi(
             core_ok = chosen[ok_rows]
             pos_ok = pos[ok_rows]
             u_ok = cand_u[ok_rows]
-            member_cost[ok_rows, core_ok, pos_ok] = cost_t[
-                ok_rows, pos_ok
-            ]
+            core_of[ok_rows, pos_ok] = core_ok
             core_util[ok_rows, core_ok] += u_ok
             hyper[ok_rows, core_ok] *= 1.0 + u_ok  # unread for EDF rows
-            if probe_r is not None:
-                src = probe_row[ok_rows, core_ok]
-                have = np.flatnonzero(src >= 0)
-                if have.size:
-                    src_h = src[have]
-                    sel_h = ok_rows[have]
-                    core_h = core_ok[have]
-                    cached = response_cache[sel_h, core_h]
-                    response_cache[sel_h, core_h] = np.where(
-                        probe_rel[src_h], probe_r[src_h], cached
-                    )
+            if wave2 is not None:
+                # Wave-2 responses are cached for the probe of the chosen
+                # core only (an admitting probe means the row commits).
+                rows2, core2, admit2, r2, rel2 = wave2
+                hit = admit2 & (chosen[rows2] == core2)
+                won = rows2[hit]
+                response_cache[won] = np.where(
+                    rel2[hit], r2[hit], response_cache[won]
+                )
             pointer[ok_rows] = core_ok  # unread for non-next-fit rows
         if dead_now.any():
             alive &= any_admit
@@ -1209,15 +1243,11 @@ def batch_partition_accept_multi(
             if n_zombies * 4 >= rows:
                 keep = np.flatnonzero(alive)
                 orig = orig[keep]
-                cost_t = cost_t[keep]
-                period_t = period_t[keep]
-                deadline_t = deadline_t[keep]
-                u_t = u_t[keep]
+                lane_t = lane_t[keep]
                 implicit_t = implicit_t[keep]
-                order = order[keep]
                 is_rta_t = is_rta_t[keep]
                 eps_t = eps_t[keep]
-                member_cost = member_cost[keep]
+                core_of = core_of[keep]
                 core_util = core_util[keep]
                 hyper = hyper[keep]
                 response_cache = response_cache[keep]

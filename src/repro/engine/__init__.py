@@ -9,8 +9,10 @@ with an optional content-addressed on-disk result cache:
 * :mod:`repro.engine.units` — the work-unit dataclasses
   (:class:`AcceptanceUnit`, :class:`SplittingUnit`, plus the
   engine-robustness :class:`ChaosUnit`), the process-pool-safe
-  :func:`execute_unit` entry point, and the stable config fingerprint the
-  cache keys on;
+  :func:`execute_unit` entry point, the block executor
+  :func:`execute_units` (a sweep's batch acceptance points share one
+  packing pass in-process), and the stable config fingerprint the cache
+  keys on;
 * :mod:`repro.engine.cache` — :class:`ResultCache`, a content-addressed
   JSON store under ``.repro-cache/`` (or any directory); corrupt entries
   are quarantined and recomputed, never fatal;
@@ -43,6 +45,7 @@ from repro.engine.units import (
     WorkloadUnit,
     execute_admission,
     execute_unit,
+    execute_units,
     unit_fingerprint,
     unit_spec,
 )
@@ -63,6 +66,7 @@ __all__ = [
     "ResultCache",
     "UnitFailure",
     "execute_unit",
+    "execute_units",
     "unit_fingerprint",
     "unit_spec",
 ]

@@ -6,8 +6,11 @@ order**, regardless of ``jobs`` or cache state.  The pipeline is:
 
 1. resolve every unit against the resume journal (if ``resume=True``)
    and the :class:`ResultCache` (if configured), counting hits/misses;
-2. execute the misses — serially for ``jobs == 1``, otherwise over a
-   :class:`concurrent.futures.ProcessPoolExecutor`:
+2. execute the misses — in-process for ``jobs == 1``, otherwise over a
+   :class:`concurrent.futures.ProcessPoolExecutor`.  In-process, the
+   batch acceptance points of a sweep run as merged blocks, one packing
+   pass per block (:func:`~repro.engine.units.unit_blocks`); a block that
+   raises is rerun unit by unit, so failures stay per unit.  Pools:
 
    * with no robustness options set, the original chunked ``pool.map``
      fast path runs (large chunks amortize pickling);
@@ -47,7 +50,13 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.engine.cache import ResultCache
-from repro.engine.units import WorkUnit, execute_unit, unit_fingerprint
+from repro.engine.units import (
+    WorkUnit,
+    execute_unit,
+    execute_units,
+    unit_blocks,
+    unit_fingerprint,
+)
 from repro.metrics.registry import active as _metrics_active
 
 
@@ -353,14 +362,14 @@ class ExperimentEngine:
                 # back, so recompute everything serially — slower, but
                 # the run completes.
                 self.stats.pool_failures += 1
-                for index in pending:
-                    results[index] = execute_unit(units[index])
+            else:
+                for index, payload in zip(pending, payloads):
+                    results[index] = payload
                 return list(pending)
-            for index, payload in zip(pending, payloads):
-                results[index] = payload
-        else:
-            for index in pending:
-                results[index] = execute_unit(units[index])
+        for index, payload, error in _execute_inline(units, pending):
+            if error is not None:
+                raise error
+            results[index] = payload
         return list(pending)
 
     # ------------------------------------------------------------------
@@ -494,13 +503,43 @@ class ExperimentEngine:
         """One in-process attempt (no timeout enforcement possible)."""
         done: List[int] = []
         errors: Dict[int, str] = {}
-        for index in wave:
-            try:
-                results[index] = execute_unit(units[index])
+        for index, payload, error in _execute_inline(units, wave):
+            if error is None:
+                results[index] = payload
                 done.append(index)
-            except Exception as exc:
-                errors[index] = f"{type(exc).__name__}: {exc}"
+            else:
+                errors[index] = f"{type(error).__name__}: {error}"
         return done, errors
+
+
+def _execute_inline(units: Sequence[WorkUnit], indices: List[int]):
+    """Execute ``units[i]`` for ``i`` in ``indices`` in this process.
+
+    Yields ``(index, payload, error)`` with exactly one of payload and
+    error set.  Units that :func:`~repro.engine.units.unit_blocks` groups
+    (batch acceptance points of one sweep) run as one
+    :func:`~repro.engine.units.execute_units` block; a block that raises
+    is rerun unit by unit through :func:`execute_unit`, so failures stay
+    per unit, as do single-unit blocks.
+    """
+    for block in unit_blocks([units[index] for index in indices]):
+        members = [indices[position] for position in block]
+        if len(members) > 1:
+            try:
+                payloads = execute_units([units[i] for i in members])
+            except Exception:
+                pass  # rerun one by one below
+            else:
+                for index, payload in zip(members, payloads):
+                    yield index, payload, None
+                continue
+        for index in members:
+            try:
+                payload = execute_unit(units[index])
+            except Exception as exc:
+                yield index, None, exc
+            else:
+                yield index, payload, None
 
 
 def _load_journal(path: Path) -> Tuple[Dict[str, dict], int]:

@@ -8,6 +8,11 @@ carries everything needed to execute it (platform, workload, overhead
 model, algorithms, seed), units can run in any order, in any process, and
 the merged result is identical to the serial loops they replaced.
 
+In-process, :func:`unit_blocks` and :func:`execute_units` run the batch
+acceptance points of a sweep as merged blocks, one packing pass per
+block; every batch verdict is lane-local, so each unit's payload is the
+one its own pass gives.
+
 ``execute_unit`` is a module-level function so it pickles cleanly for
 :class:`concurrent.futures.ProcessPoolExecutor`; payloads are plain
 JSON-serializable dicts of *exact* values (acceptance counts, not ratios)
@@ -19,7 +24,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.model.generator import TaskSetGenerator
 from repro.model.time import MS, SEC
@@ -46,8 +51,9 @@ class AcceptanceUnit:
     With ``batch=True`` the point's population is generated as one
     struct-of-arrays batch and analyzed by the vectorized kernels of
     :mod:`repro.analysis.batch` (scalar fallback for algorithms or
-    populations the batch layer cannot express).  The payload is
-    bit-identical either way; the flag only selects the engine.
+    populations the batch layer cannot express), alone or merged with
+    other points by :func:`execute_units`.  The payload is bit-identical
+    either way; the flag only selects the engine.
     """
 
     n_cores: int
@@ -411,33 +417,120 @@ def _execute_chaos(unit: ChaosUnit) -> dict:
     raise ValueError(f"unknown chaos mode {unit.mode!r}")
 
 
+#: Most task-set lanes one merged packing block may hold.  The batch
+#: kernel's fixed cost is per call, so merging a sweep's points pays it
+#: once per block, while its peak memory grows with the lanes.  On the
+#: paper's E3 sweep (17 points x 100 sets) throughput stops rising past
+#: about 900 lanes while peak RSS keeps growing (the measured curve is
+#: in docs/performance.md).
+BLOCK_LANES = 900
+
+
+def _block_key(unit: WorkUnit) -> Optional[tuple]:
+    """What units must share to be analyzed as one population (None:
+    the unit runs alone)."""
+    if unit.kind != "acceptance" or not unit.batch:
+        return None
+    return (unit.n_cores, unit.n_tasks, unit.algorithms, unit.overheads)
+
+
+def unit_blocks(units: Sequence[WorkUnit]) -> List[List[int]]:
+    """Partition ``units`` (by index) into blocks for :func:`execute_units`.
+
+    Batch acceptance units sharing ``(n_cores, n_tasks, algorithms,
+    overheads)`` fill blocks of at most :data:`BLOCK_LANES` lanes, in
+    unit order (a unit larger than the cap is a block of its own);
+    every other unit is a block of one.
+    """
+    blocks: List[List[int]] = []
+    open_blocks: Dict[tuple, Tuple[List[int], int]] = {}
+    for index, unit in enumerate(units):
+        key = _block_key(unit)
+        if key is None:
+            blocks.append([index])
+            continue
+        lanes = unit.sets_per_point
+        block, held = open_blocks.get(key, (None, 0))
+        if block is None or held + lanes > BLOCK_LANES:
+            block, held = [], 0
+            blocks.append(block)
+        block.append(index)
+        open_blocks[key] = (block, held + lanes)
+    return blocks
+
+
+def execute_units(units: Sequence[WorkUnit]) -> List[dict]:
+    """Execute one block of :func:`unit_blocks`; payloads in unit order.
+
+    A batch acceptance block generates each unit's population from its
+    own seed, packs them into one population and answers it with one
+    :func:`~repro.experiments.algorithms.accept_populations` call; every
+    verdict is lane-local, so each unit's slice of the verdicts is
+    exactly what its own pass gives.  A merged block the batch layer
+    cannot express as one population reruns each unit on its own, so
+    scalar fallbacks stay per unit.  Any other block runs
+    :func:`execute_unit` unit by unit.
+    """
+    if not units or _block_key(units[0]) is None:
+        return [execute_unit(unit) for unit in units]
+    from repro.analysis.batch import PopulationError, TaskSetPopulation
+    from repro.experiments.algorithms import accept_populations
+
+    head = units[0]
+    populations = []
+    for unit in units:
+        generated = _generator(unit).generate_batch(
+            unit.utilization * unit.n_cores, unit.sets_per_point
+        )
+        populations.append(
+            TaskSetPopulation.from_arrays(
+                generated.wcet,
+                generated.period,
+                generated.deadline,
+                generated.wss,
+                generated.names,
+            )
+        )
+    sizes = [population.n_sets for population in populations]
+    block = TaskSetPopulation.concat(populations)
+    del populations  # the block holds the only copy of the lanes
+    try:
+        # One packing pass answers every batchable algorithm at once.
+        verdicts = accept_populations(
+            list(head.algorithms),
+            block,
+            head.n_cores,
+            head.overheads,
+            fallback=len(units) == 1,
+        )
+    except PopulationError:
+        return [execute_units([unit])[0] for unit in units]
+    payloads = []
+    start = 0
+    for size in sizes:
+        stop = start + size
+        payloads.append(
+            {
+                "accepted": {
+                    name: sum(verdicts[name][start:stop])
+                    for name in head.algorithms
+                },
+                "total": size,
+            }
+        )
+        start = stop
+    return payloads
+
+
 def _execute_acceptance(unit: AcceptanceUnit) -> dict:
+    if unit.batch:
+        return execute_units([unit])[0]
     # Imported lazily: repro.experiments imports repro.engine back.
     from repro.experiments.algorithms import accept
 
-    generator = _generator(unit)
-    total = unit.utilization * unit.n_cores
-    if unit.batch:
-        from repro.analysis.batch import TaskSetPopulation
-        from repro.experiments.algorithms import accept_populations
-
-        generated = generator.generate_batch(total, unit.sets_per_point)
-        population = TaskSetPopulation.from_arrays(
-            generated.wcet,
-            generated.period,
-            generated.deadline,
-            generated.wss,
-            generated.names,
-        )
-        # One packing pass answers every batchable algorithm at once.
-        verdicts = accept_populations(
-            list(unit.algorithms), population, unit.n_cores, unit.overheads
-        )
-        accepted = {
-            name: sum(verdicts[name]) for name in unit.algorithms
-        }
-        return {"accepted": accepted, "total": population.n_sets}
-    tasksets = generator.generate_many(total, unit.sets_per_point)
+    tasksets = _generator(unit).generate_many(
+        unit.utilization * unit.n_cores, unit.sets_per_point
+    )
     accepted: Dict[str, int] = {}
     for name in unit.algorithms:
         accepted[name] = sum(
@@ -464,6 +557,22 @@ def _execute_criteria(unit: CriteriaUnit) -> dict:
     def _mean(values):
         return sum(values) / len(values)
 
+    # FP-TS's whole-task phase is FFD, so its result is FFD's assignment
+    # whenever FFD accepts (tests/test_fpts_prefilter.py pins this): each
+    # set's FFD pass runs once, and only FFD's rejects run the split
+    # search.
+    ffd: Dict[int, object] = {}
+
+    def _assignment(name: str, index: int, taskset):
+        if name in ("FFD", "FP-TS"):
+            if index not in ffd:
+                ffd[index] = build_assignment(
+                    "FFD", taskset, unit.n_cores, unit.overheads
+                )
+            if name == "FFD" or ffd[index] is not None:
+                return ffd[index]
+        return build_assignment(name, taskset, unit.n_cores, unit.overheads)
+
     criteria: Dict[str, Optional[dict]] = {}
     accepted: Dict[str, int] = {}
     runs: Dict[tuple, tuple] = {}  # dynamic row of each distinct run
@@ -472,9 +581,7 @@ def _execute_criteria(unit: CriteriaUnit) -> dict:
         static_rows = []  # (spare_balance, packing_slack)
         dynamic_rows = []  # (preempt/rel, migr/rel, power_mw, per_hp_uj)
         for index, taskset in enumerate(tasksets):
-            assignment = build_assignment(
-                name, taskset, unit.n_cores, unit.overheads
-            )
+            assignment = _assignment(name, index, taskset)
             if assignment is None:
                 continue
             if spec.kind == "global":
@@ -503,7 +610,7 @@ def _execute_criteria(unit: CriteriaUnit) -> dict:
             )
             # The overheads, seed, duration and execution times are fixed
             # by the unit and the set, so the same assignment under the
-            # same class is the same run (FP-TS returns FFD's assignment
+            # same class is the same run (FP-TS shares FFD's assignment
             # whenever FFD accepts): simulate it once.
             run_key = (
                 index,

@@ -299,6 +299,7 @@ def accept_populations(
     model: OverheadModel = OverheadModel.zero(),
     batch: bool = True,
     stats: Optional[BatchStats] = None,
+    fallback: bool = True,
 ) -> Dict[str, List[bool]]:
     """Accept/reject vectors of several algorithms over one population.
 
@@ -320,7 +321,10 @@ def accept_populations(
     priority order; counted in ``scalar_fallbacks`` per requested
     batched algorithm and lane) — runs scalar :func:`accept` lane by
     lane.  Verdicts are bit-identical either way (the batch-vs-scalar
-    differential pair enforces this continuously).
+    differential pair enforces this continuously).  With
+    ``fallback=False`` a :class:`PopulationError` propagates instead of
+    sending the population scalar; the engine uses this on merged
+    blocks, which it then reruns one unit at a time.
     """
     for algorithm in algorithms:
         if algorithm not in ALGORITHMS:
@@ -349,25 +353,26 @@ def accept_populations(
                 a: [bool(v) for v in row] for a, row in zip(configs, matrix)
             }
         except PopulationError:
+            if not fallback:
+                raise
             tracker = stats if stats is not None else BATCH_STATS
             tracker.scalar_fallbacks += population.n_sets * len(batched)
-    tasksets: List[TaskSet] = []
     out: Dict[str, List[bool]] = {}
     for algorithm in algorithms:
         if algorithm == "FP-TS" and "FFD" in rows:
-            verdicts = list(rows["FFD"])
-            rejected = [lane for lane, ok in enumerate(verdicts) if not ok]
-            for lane, taskset in zip(
-                rejected, population.tasksets(rejected)
-            ):
-                verdicts[lane] = accept(algorithm, taskset, n_cores, model)
-            out[algorithm] = verdicts
-        elif algorithm in rows:
-            out[algorithm] = rows[algorithm]
+            out[algorithm] = list(rows["FFD"])  # FFD's rejects go scalar
         else:
-            tasksets = tasksets or population.tasksets()
-            out[algorithm] = [
-                accept(algorithm, taskset, n_cores, model=model)
-                for taskset in tasksets
-            ]
+            out[algorithm] = rows.get(algorithm, [False] * population.n_sets)
+    # The scalar verdicts, lane by lane: one set is alive at a time, and
+    # the algorithms that need it share it.
+    for lane in range(population.n_sets):
+        taskset = None
+        for algorithm in algorithms:
+            if algorithm in rows or (
+                algorithm == "FP-TS" and "FFD" in rows and out[algorithm][lane]
+            ):
+                continue
+            if taskset is None:
+                taskset = population.taskset(lane)
+            out[algorithm][lane] = accept(algorithm, taskset, n_cores, model)
     return out

@@ -18,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from repro.experiments.algorithms import build_assignment
+from repro.experiments.algorithms import ALGORITHMS, build_assignment
+from repro.kernel.global_sim import build_global_assignment
 from repro.kernel.sim import KernelSim
 from repro.model.generator import TaskSetGenerator
 from repro.model.time import MS, SEC
@@ -88,10 +89,15 @@ def validate_by_simulation(
         if assignment is None:
             continue
         report.sets_accepted += 1
+        spec = ALGORITHMS[algorithm]
         # Simulate the overhead-aware assignment itself: its entry budgets
         # include the analysis inflation (the head-room reserved for kernel
         # overheads), while every job executes only its *raw* WCET — the
-        # exact situation the analysis promises to cover.
+        # exact situation the analysis promises to cover.  The run uses
+        # the algorithm's own scheduling class; global algorithms place
+        # tasks at runtime, so they simulate the shared-queue assignment.
+        if spec.kind == "global":
+            assignment = build_global_assignment(taskset, n_cores)
         raw_work = {task.name: task.wcet for task in taskset}
         sim_horizon = horizon
         if sim_horizon is None:
@@ -103,6 +109,7 @@ def validate_by_simulation(
             duration=sim_horizon,
             record_trace=check_traces,
             execution_times=raw_work,
+            sched_class=spec.sched_class,
         )
         result = sim.run()
         report.sets_simulated += 1
@@ -113,7 +120,9 @@ def validate_by_simulation(
                 f"(first: {result.misses[0]})"
             )
         if check_traces:
-            violations = validate_trace(result.trace, assignment)
+            violations = validate_trace(
+                result.trace, assignment, sched_class=spec.sched_class
+            )
             if violations:
                 report.trace_violations += len(violations)
                 report.details.append(

@@ -35,6 +35,7 @@ context's priority order).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -273,6 +274,13 @@ def pdms_hpts_partition(
                 f"task {task.name} has no priority; call "
                 "assign_rate_monotonic() first"
             )
+    # Exact, as in fpts_partition: RTA-feasible cores have U <= 1 and
+    # the pieces of a task sum to at least its WCET, so accepted sets
+    # have U <= m; correctly rounded quotients and fsum err by a factor
+    # < 1 + 1e-12.
+    utilization = math.fsum(task.utilization for task in taskset)
+    if utilization > n_cores * (1 + 1e-12):
+        return None
     state = _PdmsState(n_cores, config)
     queue: List[_Piece] = [
         _Piece(

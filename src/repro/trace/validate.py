@@ -215,10 +215,16 @@ def run_checkers(
 
 
 def validate_trace(
-    trace: List[tuple], assignment: Assignment
+    trace: List[tuple], assignment: Assignment, sched_class: str = "auto"
 ) -> List[TraceViolation]:
-    """Structural invariant violations only (legacy API; empty = clean)."""
-    ctx = CheckContext(trace=trace, assignment=assignment)
+    """Structural invariant violations only (legacy API; empty = clean).
+
+    ``sched_class`` names the class the run used; the global classes
+    place jobs at run time, so the placement check skips them.
+    """
+    ctx = CheckContext(
+        trace=trace, assignment=assignment, sched_class=sched_class
+    )
     return run_checkers(ctx, STRUCTURAL_CHECKS)
 
 

@@ -114,6 +114,43 @@ def test_batch_accept_matches_scalar_across_seeds():
                 )
 
 
+def test_packing_warm_starts_are_lower_bounds(monkeypatch):
+    """Every probe's warm start (cached committed responses, prefix sums)
+    must stay at or below the least fixed point it starts from: the
+    decide-mode fixed point is exact only from below.  Checked against
+    a cold iteration from the budgets on every probe of a packing pass
+    that commits into the response cache many times."""
+    import repro.analysis.batch as batch_mod
+
+    fixed_point = batch_mod._fixed_point
+    checked = []
+
+    def checking(budget, coef, period, add, cap, start, source_cost,
+                 stats, decide=False):
+        exact = fixed_point(
+            budget, coef, period, add, cap, budget, source_cost,
+            BatchStats(),
+        )
+        below = exact < cap
+        assert np.all(start[below] <= exact[below])
+        checked.append(int(below.sum()))
+        return fixed_point(
+            budget, coef, period, add, cap, start, source_cost, stats,
+            decide,
+        )
+
+    monkeypatch.setattr(batch_mod, "_fixed_point", checking)
+    for seed in range(4):
+        population, _ = _population(40 + seed, 0.9, count=40)
+        batch_partition_accept_multi(
+            population,
+            N_CORES,
+            model=MODELS[1],
+            configs=[BATCH_ALGORITHMS[a] for a in sorted(BATCH_ALGORITHMS)],
+        )
+    assert sum(checked) > 1000
+
+
 def test_single_config_wrappers_agree_with_multi():
     population, tasksets = _population(7, 0.85)
     model = MODELS[1]

@@ -114,3 +114,38 @@ def test_only_ffd_rejected_lanes_reach_the_split_search(monkeypatch):
         for ts, ok in zip(tasksets, ffd)
         if not ok
     ]
+
+
+def test_criteria_unit_runs_the_split_search_on_ffd_rejects_only(monkeypatch):
+    from repro.engine.units import CriteriaUnit, execute_unit
+
+    unit = CriteriaUnit(
+        n_cores=4,
+        n_tasks=12,
+        sets_per_point=20,
+        utilization=0.95,
+        seed=3,
+        algorithms=("FP-TS", "FFD", "WFD"),
+        overheads=OverheadModel.paper_core_i7(3),
+        sim_sets=1,
+    )
+    tasksets = TaskSetGenerator(n_tasks=12, seed=3).generate_many(
+        0.95 * 4, 20
+    )
+    ffd = [accept("FFD", ts, 4, unit.overheads) for ts in tasksets]
+    fpts = [accept("FP-TS", ts, 4, unit.overheads) for ts in tasksets]
+    calls = []
+    fpts_partition = algorithms_mod.fpts_partition
+
+    def counting(taskset, *args, **kwargs):
+        calls.append(_periods(taskset))
+        return fpts_partition(taskset, *args, **kwargs)
+
+    monkeypatch.setattr(algorithms_mod, "fpts_partition", counting)
+    payload = execute_unit(unit)
+    assert calls == [
+        _periods(ts) for ts, ok in zip(tasksets, ffd) if not ok
+    ]
+    assert len(calls) == 9  # of 20 sets; one call per set before reuse
+    assert payload["accepted"]["FFD"] == sum(ffd)
+    assert payload["accepted"]["FP-TS"] == sum(fpts)

@@ -50,6 +50,28 @@ class TestBasics:
         assert pdms_hpts_partition(ts, 2) is None
 
 
+class TestEarlyUtilizationReject:
+    """Sets with U > m are rejected before any probe; U == m is not."""
+
+    def test_overloaded_set_rejected_without_probes(self):
+        from repro.analysis import STATS
+
+        ts = _ts((6, 10), (6, 10), (6, 10), (6, 10))  # U = 2.4 on 2
+        before = STATS.probes
+        assert pdms_hpts_partition(ts, 2, PdmsConfig(min_chunk=1)) is None
+        assert STATS.probes == before
+
+    def test_utilization_exactly_m_still_searched(self):
+        from repro.analysis import STATS
+
+        ts = _ts((5, 10), (5, 10), (5, 10), (5, 10))  # U = 2.0 on 2
+        before = STATS.probes
+        assignment = pdms_hpts_partition(ts, 2, PdmsConfig(min_chunk=1))
+        assert STATS.probes > before
+        assert assignment is not None
+        assert assignment_schedulable(assignment)
+
+
 class TestSplitting:
     def test_splits_three_heavy_on_two_cores(self):
         ts = _ts((6 * MS, 10 * MS), (6 * MS, 10 * MS), (6 * MS, 10 * MS))

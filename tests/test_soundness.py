@@ -149,3 +149,55 @@ class TestOverheadAwareSoundness:
             seed=1,
         )
         assert "sound=True" in report.as_table()
+
+
+class TestValidationSchedulingClass:
+    """``validate_by_simulation`` runs each algorithm under its own class."""
+
+    @staticmethod
+    def _record_runs(monkeypatch):
+        import repro.experiments.validate as validate_mod
+
+        runs = []
+
+        class RecordingSim(KernelSim):
+            def __init__(self, assignment, *args, **kwargs):
+                super().__init__(assignment, *args, **kwargs)
+                runs.append((kwargs.get("sched_class"), assignment))
+
+        monkeypatch.setattr(validate_mod, "KernelSim", RecordingSim)
+        return runs
+
+    def test_cd_split_runs_under_edf(self, monkeypatch):
+        runs = self._record_runs(monkeypatch)
+        report = validate_by_simulation(
+            algorithm="C=D",
+            n_cores=2,
+            n_tasks=6,
+            normalized_utilization=0.8,
+            sets=4,
+            seed=5,
+            horizon=1 * SEC,
+        )
+        assert report.sets_simulated == len(runs) > 0
+        assert {sched_class for sched_class, _ in runs} == {"edf"}
+        assert report.sound, report.details
+
+    def test_global_edf_simulates_the_shared_queue_assignment(
+        self, monkeypatch
+    ):
+        runs = self._record_runs(monkeypatch)
+        report = validate_by_simulation(
+            algorithm="G-EDF",
+            n_cores=4,
+            n_tasks=12,
+            normalized_utilization=0.2,
+            sets=3,
+            seed=3,
+            horizon=1 * SEC,
+        )
+        assert report.sets_simulated == len(runs) > 0
+        for sched_class, assignment in runs:
+            assert sched_class == "global-edf"
+            assert len(list(assignment.entries())) == 12
+        assert report.sound, report.details
