@@ -248,20 +248,30 @@ class TaskSetPopulation:
             ),
         )
 
-    def taskset(self, row: int) -> TaskSet:
+    def taskset(
+        self, row: int, wcet: Optional[np.ndarray] = None
+    ) -> TaskSet:
         """Materialize lane ``row`` as a scalar :class:`TaskSet`
-        (priority order, priorities 0..n-1) — the lane-wise fallback."""
+        (priority order, priorities 0..n-1) — the lane-wise fallback.
+
+        ``wcet`` replaces the WCET matrix; with :meth:`inflated_wcet` the
+        lane comes out already inflated, equal to
+        :func:`~repro.overhead.accounting.inflate_taskset` of the plain
+        lane, without building the plain one first.
+        """
+        wcets = (self.wcet if wcet is None else wcet)[row].tolist()
+        # Task's fields in order: name, wcet, period, deadline, priority,
+        # wss — one construction per task.
         return TaskSet(
-            [
-                Task(
-                    name=self.names[row][col],
-                    wcet=int(self.wcet[row, col]),
-                    period=int(self.period[row, col]),
-                    deadline=int(self.deadline[row, col]),
-                    wss=int(self.wss[row, col]),
-                ).with_priority(col)
-                for col in range(self.n_tasks)
-            ]
+            map(
+                Task,
+                self.names[row],
+                wcets,
+                self.period[row].tolist(),
+                self.deadline[row].tolist(),
+                range(self.n_tasks),
+                self.wss[row].tolist(),
+            )
         )
 
     def tasksets(

@@ -96,8 +96,17 @@ def _global_rm(taskset: TaskSet, n_cores: int) -> Optional[Assignment]:
 def _fpts(
     taskset: TaskSet, n_cores: int, model: OverheadModel
 ) -> Optional[Assignment]:
-    inflated = inflate_taskset(taskset, model)
     max_wss = max((task.wss for task in taskset), default=0)
+    return _fpts_inflated(
+        inflate_taskset(taskset, model), max_wss, n_cores, model
+    )
+
+
+def _fpts_inflated(
+    inflated: TaskSet, max_wss: int, n_cores: int, model: OverheadModel
+) -> Optional[Assignment]:
+    """FP-TS on an already inflated set whose largest working set (the
+    CPMD charge of a split) is ``max_wss``."""
     return fpts_partition(
         inflated,
         n_cores,
@@ -314,7 +323,10 @@ def accept_populations(
     first-fit RTA probes), so every lane FFD accepts is an FP-TS accept
     with FFD's assignment, and only the lanes FFD rejects run the scalar
     split search.  The FFD row is computed for this even when FFD was
-    not requested.
+    not requested.  Those lanes are built already inflated from the
+    population's arrays (:meth:`TaskSetPopulation.inflated_wcet`, the
+    same per-job charge and clamp as :func:`inflate_taskset`), with one
+    :class:`FptsConfig` per distinct largest working set.
 
     Everything else — ``batch=False``, non-batchable algorithms, and
     populations the batch layer cannot express (non-rate-monotonic
@@ -365,12 +377,23 @@ def accept_populations(
             out[algorithm] = rows.get(algorithm, [False] * population.n_sets)
     # The scalar verdicts, lane by lane: one set is alive at a time, and
     # the algorithms that need it share it.
+    inflated = None
     for lane in range(population.n_sets):
         taskset = None
         for algorithm in algorithms:
-            if algorithm in rows or (
-                algorithm == "FP-TS" and "FFD" in rows and out[algorithm][lane]
-            ):
+            if algorithm in rows:
+                continue
+            if algorithm == "FP-TS" and "FFD" in rows:
+                if out[algorithm][lane]:
+                    continue
+                if inflated is None:
+                    inflated = population.inflated_wcet(model)
+                out[algorithm][lane] = _fpts_inflated(
+                    population.taskset(lane, inflated),
+                    int(population.wss[lane].max(initial=0)),
+                    n_cores,
+                    model,
+                ) is not None
                 continue
             if taskset is None:
                 taskset = population.taskset(lane)

@@ -12,7 +12,9 @@ FP-TS paper) uses the standard recipe that we implement here:
 * WCET = round(utilization × period), clamped to at least 1 ns.
 
 All randomness flows through an explicit ``random.Random`` instance so every
-experiment is reproducible from a seed.
+experiment is reproducible from a seed.  ``TaskSetGenerator`` makes the
+C-level calls of the per-draw functions below in their order, without a
+frame per draw, and derives whole batches at once (tests use them as oracle).
 """
 
 from __future__ import annotations
@@ -20,10 +22,13 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from itertools import accumulate, repeat, starmap
+from operator import mul, sub
 from typing import List, Optional, Tuple
 
 import numpy as np
 
+from repro.model.randfixedsum import randfixedsum
 from repro.model.task import Task
 from repro.model.taskset import TaskSet
 from repro.model.time import MS, US
@@ -134,22 +139,16 @@ class GeneratedBatch:
         return self.wcet.shape[1]
 
     def tasksets(self) -> List[TaskSet]:
-        """The same task sets as scalar objects, bit-identical to what
-        ``generate_many`` would have produced from the same seed."""
+        """The lanes as scalar task sets (priority = column), which is
+        what ``generate_many`` returns for the same seed."""
         if self._memo is None:
-            self._memo = [
-                TaskSet(
-                    Task(
-                        name=self.names[row][col],
-                        wcet=int(self.wcet[row, col]),
-                        period=int(self.period[row, col]),
-                        deadline=int(self.deadline[row, col]),
-                        priority=col,
-                        wss=int(self.wss[row, col]),
-                    )
-                    for col in range(self.n_tasks)
+            columns = (self.wcet, self.period, self.deadline, self.wss)
+            priorities = range(self.n_tasks)
+            self._memo = [  # Task's fields in order; priority = column
+                TaskSet(map(Task, names, c, t, d, priorities, wss))
+                for names, c, t, d, wss in zip(
+                    self.names, *(column.tolist() for column in columns)
                 )
-                for row in range(self.n_sets)
             ]
         return self._memo
 
@@ -194,116 +193,117 @@ class TaskSetGenerator:
     def reseed(self, seed: int) -> None:
         self._rng = random.Random(seed)
 
-    def _draw_utilizations(self, total_utilization: float) -> List[float]:
-        if self.method == "randfixedsum":
-            from repro.model.randfixedsum import randfixedsum
+    def _draw(
+        self, total: float, count: int
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``count`` sets as (wcet, period, wss) int64 arrays, task order.
 
-            return randfixedsum(
-                self._rng,
-                self.n_tasks,
-                total_utilization,
-                low=0.0,
-                high=self.max_task_utilization,
-            )
-        return uunifast_discard(
-            self._rng,
-            self.n_tasks,
-            total_utilization,
-            self.max_task_utilization,
-        )
+        Per set: UUniFast-discard attempts of ``n - 1`` ``random()`` each
+        (``method="randfixedsum"`` keeps its own scalar draw), ``n``
+        ``random()`` read as ``uniform(log_min, log_max)``, and ``n``
+        ``randint`` draws as CPython makes them (``getrandbits(k)``, ``k``
+        the width's bit length, redrawn while ``>= width``).  ``exp``
+        stays per-element libm: ``np.exp`` differs in the last ulp.
+        """
+        n, rng, cap = self.n_tasks, self._rng, self.max_task_utilization
+        width = self.wss_max - self.wss_min + 1
+        if self.method == "uunifast" and not 0 < total <= n * cap:
+            raise ValueError(f"cannot draw U={total} as {n} tasks <= {cap}")
+        if not 0 < self.period_min <= self.period_max or width <= 0:
+            raise ValueError("invalid period or working-set size range")
+        attempt, lane = ((),) * (n - 1), ((),) * n  # starmap: no-arg calls
+        wss_args = ((width.bit_length(),),) * n  # n getrandbits(k) calls
+        exponents = [1.0 / (n - i) for i in range(1, n)]
+        utilization: List[float] = []
+        uniform: List[float] = []
+        wss: List[int] = []
+        for _ in range(count):
+            if self.method == "randfixedsum":
+                utilization += randfixedsum(rng, n, total, 0.0, cap)
+            else:
+                for _attempt in range(10_000):  # uunifast_discard's bound
+                    draws = starmap(rng.random, attempt)
+                    remaining = list(accumulate(
+                        map(math.pow, draws, exponents), mul, initial=total
+                    ))
+                    shares = list(map(sub, remaining, remaining[1:]))
+                    shares.append(remaining[-1])
+                    if max(shares) <= cap:
+                        break
+                else:
+                    raise RuntimeError(
+                        f"uunifast_discard failed after 10000 attempts "
+                        f"(n={n}, U={total}, cap={cap})"
+                    )
+                utilization += shares
+            uniform += starmap(rng.random, lane)
+            wanted = len(wss) + n
+            while len(wss) < wanted:  # the first n in-range draws
+                wss += filter(width.__gt__, starmap(
+                    rng.getrandbits, wss_args[: wanted - len(wss)]
+                ))
+        log_min = math.log(self.period_min)
+        span = math.log(self.period_max) - log_min
+        raw = np.array(list(map(
+            math.exp, (log_min + span * np.array(uniform)).tolist()
+        )))
+        grain = self.period_granularity
+        period = np.minimum(
+            np.maximum(np.rint(raw / grain).astype(np.int64) * grain, grain),
+            (self.period_max // grain) * grain,
+        ).reshape(count, n)
+        utilization = np.array(utilization).reshape(count, n)
+        wcet = np.rint(utilization * period).astype(np.int64)  # half-even
+        wcet = np.minimum(np.maximum(wcet, 1), period)  # u <= 1 as well
+        wss = np.array(wss, dtype=np.int64).reshape(count, n)
+        return wcet, period, self.wss_min + wss
 
     def generate(self, total_utilization: float) -> TaskSet:
-        """Generate one task set with the requested total utilization."""
-        utilizations = self._draw_utilizations(total_utilization)
-        periods = log_uniform_periods(
-            self._rng,
-            self.n_tasks,
-            self.period_min,
-            self.period_max,
-            self.period_granularity,
-        )
-        tasks = []
-        for index, (u, period) in enumerate(zip(utilizations, periods)):
-            wcet = max(1, int(round(u * period)))
-            wcet = min(wcet, period)  # keep u <= 1 after rounding
-            wss = self._rng.randint(self.wss_min, self.wss_max)
-            tasks.append(
-                Task(
-                    name=f"t{index:03d}",
-                    wcet=wcet,
-                    period=period,
-                    wss=wss,
-                )
-            )
-        taskset = TaskSet(tasks)
+        """Generate one task set with the requested total utilization
+        (the one-lane batch; task-index order without ``assign_rm``)."""
         if self.assign_rm:
-            taskset = taskset.assign_rate_monotonic()
-        return taskset
+            return self.generate_batch(total_utilization, 1).tasksets()[0]
+        drawn = self._draw(total_utilization, 1)
+        wcet, period, wss = (column[0].tolist() for column in drawn)
+        names = [f"t{index:03d}" for index in range(self.n_tasks)]
+        return TaskSet(  # Task's fields in order; no priority assigned
+            map(Task, names, wcet, period, period, repeat(None), wss)
+        )
 
     def generate_many(
         self, total_utilization: float, count: int
     ) -> List[TaskSet]:
-        return [self.generate(total_utilization) for _ in range(count)]
+        if not self.assign_rm:
+            return [self.generate(total_utilization) for _ in range(count)]
+        return self.generate_batch(total_utilization, count).tasksets()
 
     def generate_batch(
         self, total_utilization: float, count: int
     ) -> GeneratedBatch:
         """Generate ``count`` task sets as one struct-of-arrays batch.
 
-        Bit-identical to ``generate_many(total_utilization, count)``:
-        the random draws (UUniFast rejection loops, log-uniform periods,
-        working-set sizes) are data-dependent and stay on the scalar
-        ``random.Random`` stream in the exact per-set order, while the
-        derived arithmetic — WCET rounding/clamping and the packing into
-        rate-monotonic priority order — runs vectorized over the whole
-        batch.  ``np.rint`` is round-half-to-even, the same rule as
-        Python's ``round``, so the WCETs match integer for integer.
+        One :meth:`_draw` call, then one ``np.lexsort`` on (period, name
+        rank) packs every lane in the order of
+        ``TaskSet.assign_rate_monotonic`` (key ``(period, name)``).
+        ``generate`` and ``generate_many`` are views of this batch.
         """
         if not self.assign_rm:
             raise ValueError(
                 "generate_batch requires assign_rm=True: batch lanes "
                 "are packed in rate-monotonic priority order"
             )
-        n = self.n_tasks
-        utilization = np.empty((count, n), dtype=np.float64)
-        periods = np.empty((count, n), dtype=np.int64)
-        wss = np.empty((count, n), dtype=np.int64)
-        for row in range(count):
-            utilization[row] = self._draw_utilizations(total_utilization)
-            periods[row] = log_uniform_periods(
-                self._rng,
-                n,
-                self.period_min,
-                self.period_max,
-                self.period_granularity,
-            )
-            for col in range(n):
-                wss[row, col] = self._rng.randint(
-                    self.wss_min, self.wss_max
-                )
-        wcet = np.minimum(
-            np.maximum(np.rint(utilization * periods).astype(np.int64), 1),
-            periods,
+        wcet, period, wss = self._draw(total_utilization, count)
+        names = np.array(
+            [f"t{col:03d}" for col in range(self.n_tasks)], dtype=object
         )
-        # Rate-monotonic rank per lane: the scalar path sorts tasks by
-        # (period, name); replicate with python sorted on the identical
-        # keys so period ties break the same way.
-        base_names = [f"t{col:03d}" for col in range(n)]
-        order = np.empty((count, n), dtype=np.int64)
-        for row in range(count):
-            lane = periods[row]
-            order[row] = sorted(
-                range(n), key=lambda col: (lane[col], base_names[col])
-            )
+        # Name rank, not column: "t1000" sorts before "t999".
+        name_rank = np.argsort(np.argsort(names, kind="stable"))
+        order = np.lexsort(
+            (np.broadcast_to(name_rank, period.shape), period), axis=1
+        )
         rows = np.arange(count)[:, None]
-        period_rm = periods[rows, order]
+        period_rm = period[rows, order]
         return GeneratedBatch(
-            wcet=wcet[rows, order],
-            period=period_rm,
-            deadline=period_rm.copy(),
-            wss=wss[rows, order],
-            names=tuple(
-                tuple(base_names[col] for col in lane)
-                for lane in order.tolist()
-            ),
+            wcet[rows, order], period_rm, period_rm.copy(), wss[rows, order],
+            tuple(map(tuple, names[order].tolist())),
         )

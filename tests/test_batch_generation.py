@@ -1,13 +1,13 @@
 """``generate_batch`` must be a bit-identical view of ``generate_many``.
 
-The batch generator keeps the data-dependent random draws on the scalar
-``random.Random`` stream in the exact per-set order and vectorizes only
-the derived arithmetic (WCET rounding, rate-monotonic packing), so two
-generators built from the same seed must produce the **same task sets,
-integer for integer** — once as struct-of-arrays lanes and once as
+Two generators built from the same seed must produce the **same task
+sets, integer for integer** — once as struct-of-arrays lanes and once as
 scalar :class:`~repro.model.taskset.TaskSet` objects.  This pins the
 property the whole batch analysis layer rests on: the batch and scalar
-experiment arms analyze the same inputs by construction.
+experiment arms analyze the same inputs.  Both methods now run the same
+draw kernel, so this agreement alone does not pin the stream;
+``tests/test_generation_oracle.py`` compares every path against an
+independent per-set loop and frozen population digests.
 """
 
 from __future__ import annotations

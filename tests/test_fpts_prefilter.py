@@ -12,6 +12,7 @@ accepts) and the verdict contract of the wrappers built on it.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 import repro.experiments.algorithms as algorithms_mod
@@ -24,6 +25,7 @@ from repro.experiments.algorithms import (
 )
 from repro.model.generator import TaskSetGenerator
 from repro.model.time import MS
+from repro.overhead.accounting import inflate_taskset, per_job_overhead
 from repro.overhead.model import OverheadModel
 
 UTILIZATIONS = (0.7, 0.8, 0.9, 0.95, 1.0)
@@ -149,3 +151,80 @@ def test_criteria_unit_runs_the_split_search_on_ffd_rejects_only(monkeypatch):
     assert len(calls) == 9  # of 20 sets; one call per set before reuse
     assert payload["accepted"]["FFD"] == sum(ffd)
     assert payload["accepted"]["FP-TS"] == sum(fpts)
+
+
+def _lane_fields(taskset):
+    return [
+        (t.name, t.wcet, t.period, t.deadline, t.priority, t.wss)
+        for t in taskset
+    ]
+
+
+def _population_with_clamped_lanes(clamped: int):
+    """Generated lanes plus ``clamped`` copies whose highest-priority task
+    has C = D - 1, so any positive per-job charge overshoots its deadline
+    and inflation clamps it to C' = D."""
+    batch = TaskSetGenerator(n_tasks=12, seed=41).generate_batch(0.8 * 4, 24)
+    wcet = np.concatenate([batch.wcet, batch.wcet[:clamped]])
+    wcet[-clamped:, 0] = batch.deadline[:clamped, 0] - 1
+    return TaskSetPopulation.from_arrays(
+        wcet,
+        np.concatenate([batch.period, batch.period[:clamped]]),
+        np.concatenate([batch.deadline, batch.deadline[:clamped]]),
+        np.concatenate([batch.wss, batch.wss[:clamped]]),
+        batch.names + batch.names[:clamped],
+    )
+
+
+@pytest.mark.parametrize("model_name", ["zero", "paper"])
+def test_array_built_fpts_lanes_equal_the_inflated_scalar_lanes(
+    model_name, monkeypatch
+):
+    """FFD's rejects reach the split search as task sets built already
+    inflated from the population's arrays: task for task equal to
+    ``inflate_taskset`` of the plain lane (clamped lanes included), with
+    the same split-search inputs and verdicts as scalar ``accept`` and no
+    ``inflate_taskset`` call."""
+    clamped = 6
+    population = _population_with_clamped_lanes(clamped)
+    model = (
+        OverheadModel.zero() if model_name == "zero"
+        else OverheadModel.paper_core_i7(3)
+    )
+    inflated = population.inflated_wcet(model)
+    plain = population.tasksets()
+    for row, taskset in enumerate(plain):
+        assert _lane_fields(population.taskset(row, inflated)) == (
+            _lane_fields(inflate_taskset(taskset, model))
+        )
+    if model_name == "paper":
+        for row in range(population.n_sets - clamped, population.n_sets):
+            charge = per_job_overhead(model, int(population.wss[row].max()))
+            deadline = population.deadline[row, 0]
+            assert population.wcet[row, 0] + charge > deadline
+            assert inflated[row, 0] == deadline
+    ffd = accept_population("FFD", population, 4, model)
+    rejected = [row for row, ok in enumerate(ffd) if not ok]
+    assert any(row >= population.n_sets - clamped for row in rejected)
+
+    calls = []
+    fpts_partition = algorithms_mod.fpts_partition
+
+    def recording(taskset, n_cores, config):
+        calls.append((_lane_fields(taskset), n_cores, config))
+        return fpts_partition(taskset, n_cores, config)
+
+    monkeypatch.setattr(algorithms_mod, "fpts_partition", recording)
+    scalar = [accept("FP-TS", ts, 4, model) for ts in plain]
+    assert len(calls) == population.n_sets
+    scalar_calls = [calls[row] for row in rejected]
+    calls.clear()
+
+    def no_inflation(*args, **kwargs):
+        raise AssertionError("FP-TS lanes must come from the arrays")
+
+    monkeypatch.setattr(algorithms_mod, "inflate_taskset", no_inflation)
+    verdicts = accept_populations(["FP-TS"], population, 4, model)
+    assert verdicts["FP-TS"] == scalar
+    # The split search sees the same inflated set and config either way.
+    assert calls == scalar_calls
