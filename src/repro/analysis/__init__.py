@@ -19,11 +19,13 @@ from repro.analysis.rta import (
 from repro.analysis.batch import (
     BATCH_STATS,
     BatchStats,
+    PackingResult,
     PopulationError,
     TaskSetPopulation,
     batch_partition_accept,
     batch_partition_accept_multi,
     batch_rta_responses,
+    core_utilizations,
 )
 from repro.analysis.incremental import (
     STATS,
@@ -69,11 +71,13 @@ __all__ = [
     "response_time",
     "BATCH_STATS",
     "BatchStats",
+    "PackingResult",
     "PopulationError",
     "TaskSetPopulation",
     "batch_partition_accept",
     "batch_partition_accept_multi",
     "batch_rta_responses",
+    "core_utilizations",
     "STATS",
     "AnalysisStats",
     "CoreAnalysisContext",

@@ -28,16 +28,21 @@ a time; this module packs a whole population into aligned numpy arrays
   where the exact test is *guaranteed* to agree, so the accept/reject
   vector still matches the scalar engines bit for bit.
 
-The packer (:func:`batch_partition_accept`) replays the decreasing-
-utilization bin-packing heuristics (first/next/best/worst-fit) over all
-lanes simultaneously; committed state — per (row, core) commit-order
-float utilization, per (row, task) the core a task sits on and its
-cached response for warm starts — lives in struct-of-arrays form.
+The packer (:func:`batch_partition_accept_multi`) replays the
+decreasing-utilization bin-packing heuristics (first/next/best/worst-
+fit) over all lanes simultaneously; committed state — per (row, core)
+commit-order float utilization, per (row, task) the core a task sits on
+and its cached response for warm starts — lives in struct-of-arrays
+form.  It returns what it decided (:class:`PackingResult`): each
+lane's verdict, the core of every placed task and the first task no
+core admitted, so callers need not rerun the scalar partitioner to
+learn where tasks went; :func:`core_utilizations` turns a placement
+into the scalar assignment's per-core loads.
 Splitting decisions stay scalar: the batch layer answers the admit/
 reject and response-time queries that the plain partitioners ask, and
 anything it cannot express falls back to the scalar contexts lane by
 lane (see
-``repro.experiments.algorithms.accept_population``).
+``repro.experiments.algorithms.decide_populations``).
 
 Work is counted in a :class:`BatchStats` (module-global
 :data:`BATCH_STATS` by default), published as the ``ana_batch_*``
@@ -775,16 +780,56 @@ _FIRST_FIT, _NEXT_FIT, _BEST_FIT, _WORST_FIT = (
 )
 
 
+@dataclass(frozen=True)
+class PackingResult:
+    """What one packing pass decided, per ``(config, lane)``.
+
+    ``verdict`` is the (configs, lanes) accept matrix.  ``core_of`` is
+    (configs, lanes, tasks): the core each task (column) was committed
+    to, -1 for the tasks a rejected lane never placed.  ``misfit`` is
+    (configs, lanes): the column of the first task that no core
+    admitted, -1 when the lane is accepted.  A rejected lane keeps the
+    placements it made before its misfit, exactly those of the scalar
+    partitioner run on the tasks placed before the misfit.
+    """
+
+    verdict: np.ndarray
+    core_of: np.ndarray
+    misfit: np.ndarray
+
+
+def core_utilizations(
+    core_of: np.ndarray, utilization: np.ndarray, n_cores: int
+) -> np.ndarray:
+    """(lanes, cores) utilization of each lane's placement ``core_of``
+    (lanes, tasks) under per-task ``utilization`` (lanes, tasks).
+
+    Each core is summed in column (local-priority) order, one column
+    at a time from 0 — the float adds of ``CoreAssignment.utilization``
+    (python's left-to-right ``sum``) — so every load equals the scalar
+    assignment's bit for bit.  Unplaced tasks (-1) add nothing.
+    """
+    lanes, n = core_of.shape
+    loads = np.zeros((lanes, n_cores), dtype=np.float64)
+    rows = np.arange(lanes)
+    for col in range(n):
+        core = core_of[:, col]
+        placed = core >= 0
+        loads[rows[placed], core[placed]] += utilization[placed, col]
+    return loads
+
+
 def batch_partition_accept_multi(
     population: TaskSetPopulation,
     n_cores: int,
     model: OverheadModel = OverheadModel.zero(),
     configs: Sequence[Tuple[str, str]] = (("first-fit", "rta"),),
     stats: Optional[BatchStats] = None,
-) -> np.ndarray:
-    """Accept/reject matrix — one row per ``(placement, admission)``
-    config, one column per lane — of the decreasing-utilization bin-
-    packing heuristics over every lane of ``population`` at once.
+) -> PackingResult:
+    """Verdicts, placements and first misfits — one row per
+    ``(placement, admission)`` config, one column per lane — of the
+    decreasing-utilization bin-packing heuristics over every lane of
+    ``population`` at once (see :class:`PackingResult`).
 
     All configs advance through the packing steps together: the
     (config, lane) pairs are flattened into one row axis, so every
@@ -796,7 +841,8 @@ def batch_partition_accept_multi(
     ``partition_taskset`` pipeline — including WCET inflation, the
     decreasing-``(utilization, name)`` placement order, the commit-
     order float utilization accumulation, and every admission epsilon —
-    on each lane individually.
+    on each lane individually, and so are the placements and misfits
+    (the batch-vs-scalar differential pair checks all three).
     """
     configs = [tuple(cfg) for cfg in configs]
     for placement, admission in configs:
@@ -809,10 +855,13 @@ def batch_partition_accept_multi(
     stats = stats if stats is not None else BATCH_STATS
     n_cfg = len(configs)
     lanes = population.n_sets
-    verdict = np.zeros((n_cfg, lanes), dtype=bool)
-    if lanes == 0 or n_cfg == 0:
-        return verdict
     n = population.n_tasks
+    verdict = np.zeros((n_cfg, lanes), dtype=bool)
+    placed = np.full((n_cfg, lanes, n), -1, dtype=np.int16)
+    misfit = np.full((n_cfg, lanes), -1, dtype=np.int32)
+    result = PackingResult(verdict, placed, misfit)
+    if lanes == 0 or n_cfg == 0:
+        return result
     period = population.period
     deadline = population.deadline
     memo = population._memo
@@ -874,40 +923,42 @@ def batch_partition_accept_multi(
     is_rta_cfg = np.array([admission == "rta" for _, admission in configs])
     eps_cfg = np.where(is_rta_cfg, RTA_UTIL_EPS, EDF_UTIL_EPS)
 
-    # ---- whole-set screens (sound: verdict provably equals scalar) ----
-    decided = np.zeros((n_cfg, lanes), dtype=bool)
-    if n <= n_cores:
-        # Some core always admits each task alone (WCET <= deadline and a
-        # single task's utilization cannot trip the fast path), so every
-        # heuristic accepts.
-        verdict[:] = True
-        decided[:] = True
-    else:
-        # Reject: any accepted lane has per-core commit-order sums each
-        # <= 1 + eps, so its pairwise float total cannot exceed
-        # m * (1 + eps) by more than accumulated rounding noise.
-        decided |= (
-            total[None, :]
-            > n_cores * (1.0 + eps_cfg[:, None]) + FASTPATH_MARGIN
-        )  # verdict stays False
-        # Accept (rta): a float hyperbolic product <= 2 - margin means
-        # the real product is <= 2, so the *whole set* is RM-schedulable
-        # on one core — every probe's subset then passes both the
-        # utilization fast path and exact RTA, and any placement finds a
-        # home for every task.
-        # Accept (edf): real total <= 1 keeps every partial float sum
-        # under 1 + eps, so every EDF utilization probe admits.
-        whole = implicit[None, :] & np.where(
-            is_rta_cfg[:, None],
-            hyprod[None, :] <= 2.0 - FASTPATH_MARGIN,
-            total[None, :] <= 1.0 - FASTPATH_MARGIN,
-        )
-        verdict |= whole & ~decided
-        decided |= whole
+    # ---- whole-set screen (sound: verdict provably equals scalar) ----
+    # Accept (rta): a float hyperbolic product <= 2 - margin means the
+    # real product is <= 2, so the *whole set* is RM-schedulable on one
+    # core — every probe's subset then passes both the utilization fast
+    # path and exact RTA, and every core admits every task.
+    # Accept (edf): real total <= 1 keeps every partial float sum under
+    # 1 + eps, so every EDF utilization probe admits.
+    # No reject screen: a rejected lane is packed up to its misfit,
+    # which its verdict alone would not tell.
+    decided = implicit[None, :] & np.where(
+        is_rta_cfg[:, None],
+        hyprod[None, :] <= 2.0 - FASTPATH_MARGIN,
+        total[None, :] <= 1.0 - FASTPATH_MARGIN,
+    )
+    verdict |= decided
+    # Where every core admits, the placement rule alone decides: first,
+    # next and best fit keep every task on core 0 (the first admitting
+    # core, and then the fullest), worst fit spreads by utilization.
+    for c in range(n_cfg):
+        sel = np.flatnonzero(decided[c])
+        if sel.size == 0:
+            continue
+        if p_code_cfg[c] != _WORST_FIT:
+            placed[c, sel] = 0
+            continue
+        loads = np.zeros((sel.size, n_cores), dtype=np.float64)
+        rows_c = np.arange(sel.size)
+        for step in range(n):
+            pos_c = order_full[sel, step]
+            core_c = np.argmin(loads, axis=1)
+            placed[c, sel, pos_c] = core_c
+            loads[rows_c, core_c] += u[sel, pos_c]
     cfg_idx, lane_idx = np.nonzero(~decided)
     stats.lanes_fastpath += int(decided.sum())
     if cfg_idx.size == 0:
-        return verdict
+        return result
 
     # ---- struct-of-arrays packing state for the undecided rows -------
     # Every state array is kept *compacted*: the hot per-step
@@ -957,7 +1008,6 @@ def batch_partition_accept_multi(
     response_cache = np.zeros((n_rows, n), dtype=np.float64)
     pointer = np.zeros(n_rows, dtype=np.int64)
     alive = np.ones(n_rows, dtype=bool)  # over compact rows
-    alive_full = np.ones(n_rows, dtype=bool)  # over original rows
     used_vector = np.zeros(n_rows, dtype=bool)  # over original rows
     core_index = np.arange(n_cores)
     n_zombies = 0
@@ -1243,8 +1293,12 @@ def batch_partition_accept_multi(
                 )
             pointer[ok_rows] = core_ok  # unread for non-next-fit rows
         if dead_now.any():
+            # A dying row's placements are final: record them and its
+            # misfit before zombie parking (and compaction) drops it.
+            gone = orig[dead_now]
+            placed[cfg_idx[gone], lane_idx[gone]] = core_of[dead_now]
+            misfit[cfg_idx[gone], lane_idx[gone]] = pos[dead_now]
             alive &= any_admit
-            alive_full[orig[dead_now]] = False
             # Zombie parking: an infinite utilization fails the
             # capacity screen on every core, so the row never admits,
             # probes, or commits again.
@@ -1266,9 +1320,11 @@ def batch_partition_accept_multi(
                 n_zombies = 0
                 groups = _config_groups()
 
-    verdict[cfg_idx[alive_full], lane_idx[alive_full]] = True
+    won = orig[alive]
+    verdict[cfg_idx[won], lane_idx[won]] = True
+    placed[cfg_idx[won], lane_idx[won]] = core_of[alive]
     stats.lanes_fastpath += int((~used_vector).sum())
-    return verdict
+    return result
 
 
 def batch_partition_accept(
@@ -1287,7 +1343,8 @@ def batch_partition_accept(
     NFD semantics) or ``"edf"`` (exact processor-demand admission, the
     P-EDF semantics).  One-config convenience wrapper around
     :func:`batch_partition_accept_multi` (which answers several
-    algorithms over the same population in one packing pass).
+    algorithms over the same population in one packing pass, with
+    placements and misfits).
     """
     return batch_partition_accept_multi(
         population,
@@ -1295,4 +1352,4 @@ def batch_partition_accept(
         model=model,
         configs=[(placement, admission)],
         stats=stats,
-    )[0]
+    ).verdict[0]

@@ -9,9 +9,9 @@ model, algorithms, seed), units can run in any order, in any process, and
 the merged result is identical to the serial loops they replaced.
 
 In-process, :func:`unit_blocks` and :func:`execute_units` run the batch
-acceptance points of a sweep as merged blocks, one packing pass per
-block; every batch verdict is lane-local, so each unit's payload is the
-one its own pass gives.
+acceptance and criteria points of a sweep as merged blocks, one packing
+pass per block; every batch verdict and placement is lane-local, so
+each unit's payload is the one its own pass gives.
 
 ``execute_unit`` is a module-level function so it pickles cleanly for
 :class:`concurrent.futures.ProcessPoolExecutor`; payloads are plain
@@ -104,6 +104,15 @@ class CriteriaUnit:
       ``sim_sets`` accepted sets — preemptions and migrations per job
       release, mean platform power (mW) and energy per hyperperiod (uJ)
       from the simulation's energy ledger.
+
+    It runs like a batch acceptance unit (:func:`execute_units`, merged
+    with the points that share its key): the packing heuristics'
+    verdicts and static axes come from the batch packing pass's
+    placements (per-core loads equal to ``CoreAssignment.utilization``
+    bit for bit), FP-TS takes FFD's row and runs its split search on
+    FFD's rejects only, and a scalar partitioner builds an assignment
+    only for the sets the unit simulates.  Non-batch algorithms, and
+    populations the batch layer cannot express, stay scalar.
 
     Payload values are per-algorithm means; an algorithm that accepted
     no set maps to ``None`` (NaN downstream), and dynamic axes are
@@ -429,18 +438,18 @@ BLOCK_LANES = 900
 def _block_key(unit: WorkUnit) -> Optional[tuple]:
     """What units must share to be analyzed as one population (None:
     the unit runs alone)."""
-    if unit.kind != "acceptance" or not unit.batch:
-        return None
-    return (unit.n_cores, unit.n_tasks, unit.algorithms, unit.overheads)
+    if unit.kind == "criteria" or (unit.kind == "acceptance" and unit.batch):
+        return (unit.n_cores, unit.n_tasks, unit.algorithms, unit.overheads)
+    return None
 
 
 def unit_blocks(units: Sequence[WorkUnit]) -> List[List[int]]:
     """Partition ``units`` (by index) into blocks for :func:`execute_units`.
 
-    Batch acceptance units sharing ``(n_cores, n_tasks, algorithms,
-    overheads)`` fill blocks of at most :data:`BLOCK_LANES` lanes, in
-    unit order (a unit larger than the cap is a block of its own);
-    every other unit is a block of one.
+    Batch acceptance and criteria units sharing ``(n_cores, n_tasks,
+    algorithms, overheads)`` fill blocks of at most :data:`BLOCK_LANES`
+    lanes, in unit order (a unit larger than the cap is a block of its
+    own); every other unit is a block of one.
     """
     blocks: List[List[int]] = []
     open_blocks: Dict[tuple, Tuple[List[int], int]] = {}
@@ -462,19 +471,22 @@ def unit_blocks(units: Sequence[WorkUnit]) -> List[List[int]]:
 def execute_units(units: Sequence[WorkUnit]) -> List[dict]:
     """Execute one block of :func:`unit_blocks`; payloads in unit order.
 
-    A batch acceptance block generates each unit's population from its
-    own seed, packs them into one population and answers it with one
-    :func:`~repro.experiments.algorithms.accept_populations` call; every
-    verdict is lane-local, so each unit's slice of the verdicts is
-    exactly what its own pass gives.  A merged block the batch layer
-    cannot express as one population reruns each unit on its own, so
-    scalar fallbacks stay per unit.  Any other block runs
-    :func:`execute_unit` unit by unit.
+    A block of batch acceptance and criteria units generates each
+    unit's population from its own seed, packs them into one population
+    and answers it with one
+    :func:`~repro.experiments.algorithms.decide_populations` call (one
+    packing pass, plus the scalar analyses it cannot answer).  Every
+    verdict and placement is lane-local, so each unit's payload, built
+    from its own slice, is exactly what its own pass gives: acceptance
+    counts, or a criteria unit's axes (:func:`_criteria_payload`).  A
+    merged block the batch layer cannot express as one population
+    reruns each unit on its own, so scalar fallbacks stay per unit.
+    Any other block runs :func:`execute_unit` unit by unit.
     """
     if not units or _block_key(units[0]) is None:
         return [execute_unit(unit) for unit in units]
     from repro.analysis.batch import PopulationError, TaskSetPopulation
-    from repro.experiments.algorithms import accept_populations
+    from repro.experiments.algorithms import decide_populations
 
     head = units[0]
     populations = []
@@ -496,28 +508,32 @@ def execute_units(units: Sequence[WorkUnit]) -> List[dict]:
     del populations  # the block holds the only copy of the lanes
     try:
         # One packing pass answers every batchable algorithm at once.
-        verdicts = accept_populations(
+        decided = decide_populations(
             list(head.algorithms),
             block,
             head.n_cores,
             head.overheads,
             fallback=len(units) == 1,
+            keep_assignments=any(u.kind == "criteria" for u in units),
         )
     except PopulationError:
         return [execute_units([unit])[0] for unit in units]
     payloads = []
     start = 0
-    for size in sizes:
+    for unit, size in zip(units, sizes):
         stop = start + size
-        payloads.append(
-            {
-                "accepted": {
-                    name: sum(verdicts[name][start:stop])
-                    for name in head.algorithms
-                },
-                "total": size,
-            }
-        )
+        if unit.kind == "criteria":
+            payloads.append(_criteria_payload(unit, block, decided, start))
+        else:
+            payloads.append(
+                {
+                    "accepted": {
+                        name: sum(decided.accepted[name][start:stop])
+                        for name in head.algorithms
+                    },
+                    "total": size,
+                }
+            )
         start = stop
     return payloads
 
@@ -542,71 +558,104 @@ def _execute_acceptance(unit: AcceptanceUnit) -> dict:
 
 
 def _execute_criteria(unit: CriteriaUnit) -> dict:
+    return execute_units([unit])[0]
+
+
+def _criteria_payload(
+    unit: CriteriaUnit, population, decided, start: int
+) -> dict:
+    """The payload of ``unit`` from its lanes ``start ..`` of a decided
+    block (``decided``: :class:`~repro.experiments.algorithms.
+    PopulationDecisions` over ``population``)."""
     import math
 
+    from repro.analysis.batch import core_utilizations
     from repro.experiments.algorithms import ALGORITHMS, build_assignment
     from repro.kernel.global_sim import build_global_assignment
     from repro.kernel.sim import KernelSim
     from repro.model.io import assignment_to_dict
 
-    generator = _generator(unit)
-    tasksets = generator.generate_many(
-        unit.utilization * unit.n_cores, unit.sets_per_point
-    )
+    n_cores = unit.n_cores
+    stop = start + unit.sets_per_point
+    tasksets: Dict[int, object] = {}
+
+    def _taskset(lane: int):
+        if lane not in tasksets:
+            tasksets[lane] = population.taskset(lane)
+        return tasksets[lane]
 
     def _mean(values):
         return sum(values) / len(values)
 
-    # FP-TS's whole-task phase is FFD, so its result is FFD's assignment
-    # whenever FFD accepts (tests/test_fpts_prefilter.py pins this): each
-    # set's FFD pass runs once, and only FFD's rejects run the split
-    # search.
+    # Static axes of a packed lane come from its placement; a simulated
+    # one needs the Assignment, which the scalar partitioner builds (the
+    # same one: the packing pass is bit-identical to it).  FP-TS's
+    # assignment is FFD's whenever FFD accepts
+    # (tests/test_fpts_prefilter.py pins this), so each simulated set's
+    # FFD assignment is built once.
     ffd: Dict[int, object] = {}
 
-    def _assignment(name: str, index: int, taskset):
+    def _assignment(name: str, lane: int):
+        kept = decided.assignments[name].get(lane)
+        if kept is not None or name not in decided.core_of:
+            return kept
         if name in ("FFD", "FP-TS"):
-            if index not in ffd:
-                ffd[index] = build_assignment(
-                    "FFD", taskset, unit.n_cores, unit.overheads
+            if lane not in ffd:
+                ffd[lane] = build_assignment(
+                    "FFD", _taskset(lane), n_cores, unit.overheads
                 )
-            if name == "FFD" or ffd[index] is not None:
-                return ffd[index]
-        return build_assignment(name, taskset, unit.n_cores, unit.overheads)
+            return ffd[lane]
+        return build_assignment(name, _taskset(lane), n_cores, unit.overheads)
+
+    loads: Dict[str, list] = {}  # per packed algorithm, the unit's loads
+
+    def _loads(name: str) -> list:
+        source = "FFD" if name == "FP-TS" else name  # FFD's placements
+        if source not in loads:
+            loads[source] = core_utilizations(
+                decided.core_of[source][start:stop],
+                decided.utilization[start:stop],
+                n_cores,
+            ).tolist()
+        return loads[source]
 
     criteria: Dict[str, Optional[dict]] = {}
     accepted: Dict[str, int] = {}
     runs: Dict[tuple, tuple] = {}  # dynamic row of each distinct run
     for name in unit.algorithms:
         spec = ALGORITHMS[name]
+        verdicts = decided.accepted[name]
+        kept = decided.assignments[name]
         static_rows = []  # (spare_balance, packing_slack)
         dynamic_rows = []  # (preempt/rel, migr/rel, power_mw, per_hp_uj)
-        for index, taskset in enumerate(tasksets):
-            assignment = _assignment(name, index, taskset)
-            if assignment is None:
+        for lane in range(start, stop):
+            if not verdicts[lane]:
                 continue
+            index = lane - start
             if spec.kind == "global":
                 # Placement is a runtime decision; statically the load
                 # is spread evenly (placeholder assignments are empty).
-                total = sum(t.wcet / t.period for t in taskset)
-                core_utils = [total / unit.n_cores] * unit.n_cores
+                total = sum(t.wcet / t.period for t in _taskset(lane))
+                core_utils = [total / n_cores] * n_cores
+            elif lane in kept:
+                core_utils = [core.utilization for core in kept[lane].cores]
             else:
-                core_utils = [
-                    core.utilization for core in assignment.cores
-                ]
+                core_utils = _loads(name)[index]
             spare = [max(0.0, 1.0 - u) for u in core_utils]
             mean_spare = _mean(spare)
             static_rows.append(
                 (
                     min(spare) / mean_spare if mean_spare > 0 else 1.0,
-                    1.0 - sum(core_utils) / unit.n_cores,
+                    1.0 - sum(core_utils) / n_cores,
                 )
             )
             if len(dynamic_rows) >= unit.sim_sets:
                 continue
+            taskset = _taskset(lane)
             simulated = (
-                build_global_assignment(taskset, unit.n_cores)
+                build_global_assignment(taskset, n_cores)
                 if spec.kind == "global"
-                else assignment
+                else _assignment(name, lane)
             )
             # The overheads, seed, duration and execution times are fixed
             # by the unit and the set, so the same assignment under the
@@ -664,7 +713,7 @@ def _execute_criteria(unit: CriteriaUnit) -> dict:
         criteria[name] = entry
     return {
         "accepted": accepted,
-        "total": len(tasksets),
+        "total": unit.sets_per_point,
         "criteria": criteria,
     }
 

@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.analysis.batch import (
     BATCH_STATS,
     BatchStats,
@@ -310,13 +312,53 @@ def accept_populations(
     stats: Optional[BatchStats] = None,
     fallback: bool = True,
 ) -> Dict[str, List[bool]]:
-    """Accept/reject vectors of several algorithms over one population.
+    """Accept/reject vectors of several algorithms over one population
+    (the verdicts of :func:`decide_populations`)."""
+    return decide_populations(
+        algorithms, population, n_cores, model=model, batch=batch,
+        stats=stats, fallback=fallback,
+    ).accepted
+
+
+@dataclass
+class PopulationDecisions:
+    """What :func:`decide_populations` decided, per algorithm and lane.
+
+    ``accepted[name]`` is the per-lane verdict list.  A lane ``name``
+    accepts has its placement in exactly one of two places:
+
+    * ``assignments[name][lane]`` — the assignment of a scalar analysis
+      (FP-TS's split search on FFD's rejects, the non-batch algorithms,
+      fallback lanes), kept only when asked for;
+    * ``core_of[name][lane]`` — the packing pass's placement (FP-TS maps
+      to FFD's rows), packed under the inflated per-task
+      ``utilization`` (lanes, tasks).
+    """
+
+    accepted: Dict[str, List[bool]]
+    core_of: Dict[str, np.ndarray]
+    utilization: Optional[np.ndarray]
+    assignments: Dict[str, Dict[int, Assignment]]
+
+
+def decide_populations(
+    algorithms: List[str],
+    population: TaskSetPopulation,
+    n_cores: int,
+    model: OverheadModel = OverheadModel.zero(),
+    batch: bool = True,
+    stats: Optional[BatchStats] = None,
+    fallback: bool = True,
+    keep_assignments: bool = False,
+) -> PopulationDecisions:
+    """Verdicts and placements of several algorithms over one population.
 
     With ``batch=True`` the algorithms in :data:`BATCH_ALGORITHMS` share
     a single packing pass through
     :func:`repro.analysis.batch.batch_partition_accept_multi` — the
     per-step vectorized probes cover every algorithm's rows at once, so
-    asking five heuristics costs far less than five separate sweeps.
+    asking five heuristics costs far less than five separate sweeps —
+    which also returns where each lane's tasks went.
 
     FP-TS rides on the same pass: its whole-task phase is exactly FFD
     (same inflation, same decreasing-(utilization, name) order, same
@@ -325,18 +367,19 @@ def accept_populations(
     split search.  The FFD row is computed for this even when FFD was
     not requested.  Those lanes are built already inflated from the
     population's arrays (:meth:`TaskSetPopulation.inflated_wcet`, the
-    same per-job charge and clamp as :func:`inflate_taskset`), with one
-    :class:`FptsConfig` per distinct largest working set.
+    same per-job charge and clamp as :func:`inflate_taskset`), each with
+    its own :class:`FptsConfig` from the lane's largest working set.
 
     Everything else — ``batch=False``, non-batchable algorithms, and
     populations the batch layer cannot express (non-rate-monotonic
     priority order; counted in ``scalar_fallbacks`` per requested
-    batched algorithm and lane) — runs scalar :func:`accept` lane by
-    lane.  Verdicts are bit-identical either way (the batch-vs-scalar
-    differential pair enforces this continuously).  With
-    ``fallback=False`` a :class:`PopulationError` propagates instead of
-    sending the population scalar; the engine uses this on merged
-    blocks, which it then reruns one unit at a time.
+    batched algorithm and lane) — runs scalar :func:`build_assignment`
+    lane by lane; ``keep_assignments=True`` keeps the accepted
+    assignments.  Verdicts are bit-identical either way (the
+    batch-vs-scalar differential pair enforces this continuously).
+    With ``fallback=False`` a :class:`PopulationError` propagates
+    instead of sending the population scalar; the engine uses this on
+    merged blocks, which it then reruns one unit at a time.
     """
     for algorithm in algorithms:
         if algorithm not in ALGORITHMS:
@@ -349,35 +392,44 @@ def accept_populations(
         if batch and (a in BATCH_ALGORITHMS or a == "FP-TS")
     ]
     rows: Dict[str, List[bool]] = {}
+    core_of: Dict[str, np.ndarray] = {}
+    inflated = utilization = None
     if batched:
         configs = list(dict.fromkeys(
             "FFD" if a == "FP-TS" else a for a in batched
         ))
         try:
-            matrix = batch_partition_accept_multi(
+            packed = batch_partition_accept_multi(
                 population,
                 n_cores,
                 model=model,
                 configs=[BATCH_ALGORITHMS[a] for a in configs],
                 stats=stats,
             )
-            rows = {
-                a: [bool(v) for v in row] for a, row in zip(configs, matrix)
-            }
         except PopulationError:
             if not fallback:
                 raise
             tracker = stats if stats is not None else BATCH_STATS
             tracker.scalar_fallbacks += population.n_sets * len(batched)
+        else:
+            for row, name in enumerate(configs):
+                rows[name] = packed.verdict[row].tolist()
+                core_of[name] = packed.core_of[row]
+            if "FP-TS" in batched:
+                core_of["FP-TS"] = core_of["FFD"]
+            inflated = population.inflated_wcet(model)
+            utilization = inflated / population.period
     out: Dict[str, List[bool]] = {}
     for algorithm in algorithms:
         if algorithm == "FP-TS" and "FFD" in rows:
             out[algorithm] = list(rows["FFD"])  # FFD's rejects go scalar
         else:
             out[algorithm] = rows.get(algorithm, [False] * population.n_sets)
-    # The scalar verdicts, lane by lane: one set is alive at a time, and
+    assignments: Dict[str, Dict[int, Assignment]] = {
+        algorithm: {} for algorithm in algorithms
+    }
+    # The scalar analyses, lane by lane: one set is alive at a time, and
     # the algorithms that need it share it.
-    inflated = None
     for lane in range(population.n_sets):
         taskset = None
         for algorithm in algorithms:
@@ -386,16 +438,19 @@ def accept_populations(
             if algorithm == "FP-TS" and "FFD" in rows:
                 if out[algorithm][lane]:
                     continue
-                if inflated is None:
-                    inflated = population.inflated_wcet(model)
-                out[algorithm][lane] = _fpts_inflated(
+                assignment = _fpts_inflated(
                     population.taskset(lane, inflated),
                     int(population.wss[lane].max(initial=0)),
                     n_cores,
                     model,
-                ) is not None
-                continue
-            if taskset is None:
-                taskset = population.taskset(lane)
-            out[algorithm][lane] = accept(algorithm, taskset, n_cores, model)
-    return out
+                )
+            else:
+                if taskset is None:
+                    taskset = population.taskset(lane)
+                assignment = build_assignment(
+                    algorithm, taskset, n_cores, model
+                )
+            out[algorithm][lane] = assignment is not None
+            if keep_assignments and assignment is not None:
+                assignments[algorithm][lane] = assignment
+    return PopulationDecisions(out, core_of, utilization, assignments)

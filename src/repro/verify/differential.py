@@ -580,16 +580,66 @@ def context_vs_oracle(trials: int = 20, seed: int = 0) -> List[str]:
 _BATCH_ALGORITHMS = ("FFD", "WFD", "BFD", "NFD", "P-EDF", "FP-TS")
 
 
+def _scalar_partitioners():
+    """The scalar partitioner of each packing heuristic, taking an
+    already inflated task set."""
+    from repro.partition.edf import partition_edf_first_fit
+    from repro.partition.heuristics import (
+        partition_best_fit_decreasing,
+        partition_first_fit_decreasing,
+        partition_next_fit_decreasing,
+        partition_worst_fit_decreasing,
+    )
+
+    return {
+        "FFD": partition_first_fit_decreasing,
+        "WFD": partition_worst_fit_decreasing,
+        "BFD": partition_best_fit_decreasing,
+        "NFD": partition_next_fit_decreasing,
+        "P-EDF": partition_edf_first_fit,
+    }
+
+
+def _prefix_oracle(partition, inflated, n_cores):
+    """``(misfit, assignment)`` of the scalar ``partition`` on an
+    inflated set: the smallest k such that it rejects the first k tasks
+    in decreasing-(utilization, name) order (misfit = that k-th task's
+    priority column; -1 if it accepts the whole set) and its assignment
+    of the tasks before that misfit (``None`` when there are none)."""
+    from repro.model.taskset import TaskSet
+
+    whole = partition(inflated, n_cores)
+    if whole is not None:  # every prefix runs the first steps of this
+        return -1, whole
+    order = inflated.sorted_by_utilization(descending=True)
+    placed = None
+    for k in range(1, len(order)):
+        attempt = partition(TaskSet(order[:k]), n_cores)
+        if attempt is None:
+            return order[k - 1].priority, placed
+        placed = attempt
+    return order[-1].priority, placed  # the whole set is the last prefix
+
+
 def batch_vs_scalar(trials: int = 20, seed: int = 0) -> List[str]:
     """Batched struct-of-arrays analysis vs. the scalar partitioners.
 
     Each trial draws a whole population of seeded task sets (alternating
-    zero and paper-calibrated overhead models), packs it into aligned
-    arrays, and asserts two bit-level identities:
+    zero and paper-calibrated overhead models; every fourth trial at a
+    quarter of the load, where the whole-set screen decides most lanes
+    without probes), packs it into aligned arrays, and asserts these
+    bit-level identities:
 
     * the batch accept/reject vector of every batchable algorithm, and
       of FP-TS (the FFD row plus the split search on the lanes FFD
       rejects), equals the per-set verdicts of the scalar partitioners;
+    * for every packing heuristic and lane, the packing pass's
+      placement (``core_of``) and per-core utilizations equal the
+      scalar assignment's cores and ``CoreAssignment.utilization``
+      (``==``), and its first misfit equals an independent prefix
+      oracle (:func:`_prefix_oracle`) — for a rejected lane, the
+      placements are those of the scalar assignment of the tasks
+      before the misfit;
     * on every core of every accepted FFD assignment, the batched RTA
       fixed point returns the identical integer response times as the
       scalar :func:`~repro.analysis.rta.core_schedulable`.
@@ -598,20 +648,27 @@ def batch_vs_scalar(trials: int = 20, seed: int = 0) -> List[str]:
 
     from repro.analysis.batch import (
         TaskSetPopulation,
+        batch_partition_accept_multi,
         batch_rta_responses,
+        core_utilizations,
     )
     from repro.analysis.rta import core_schedulable, order_entries
     from repro.experiments.algorithms import (
+        BATCH_ALGORITHMS,
         accept_population,
         build_assignment,
     )
+    from repro.overhead.accounting import inflate_taskset
 
+    partitioners = _scalar_partitioners()
     diffs: List[str] = []
     rng = random.Random(seed)
     for trial in range(trials):
         n_cores = rng.choice((2, 4))
         n_tasks = rng.randint(6, 12)
         utilization = rng.uniform(0.55, 0.95) * n_cores
+        if trial % 4 == 3:
+            utilization /= 4
         model = (
             OverheadModel.zero()
             if trial % 2 == 0
@@ -643,6 +700,45 @@ def batch_vs_scalar(trials: int = 20, seed: int = 0) -> List[str]:
                     f"U={utilization:.3f}): batch verdicts "
                     f"{batch_verdicts} != scalar {scalar_verdicts}"
                 )
+        # Placements, core loads and first misfits of the packing pass.
+        packed_names = list(partitioners)
+        packed = batch_partition_accept_multi(
+            population,
+            n_cores,
+            model=model,
+            configs=[BATCH_ALGORITHMS[name] for name in packed_names],
+        )
+        util = population.inflated_wcet(model) / population.period
+        for row, name in enumerate(packed_names):
+            loads = core_utilizations(packed.core_of[row], util, n_cores)
+            for lane, taskset in enumerate(tasksets):
+                inflated = inflate_taskset(taskset, model)
+                misfit, placed = _prefix_oracle(
+                    partitioners[name], inflated, n_cores
+                )
+                core_by_name = (
+                    {} if placed is None
+                    else {e.task.name: e.core for e in placed.entries()}
+                )
+                want_cores = [
+                    core_by_name.get(t.name, -1)
+                    for t in inflated.sorted_by_priority()
+                ]
+                want_loads = (
+                    [0.0] * n_cores if placed is None
+                    else [core.utilization for core in placed.cores]
+                )
+                got = (
+                    int(packed.misfit[row, lane]),
+                    packed.core_of[row, lane].tolist(),
+                    loads[lane].tolist(),
+                )
+                if got != (misfit, want_cores, want_loads):
+                    diffs.append(
+                        f"trial {trial} ({name}, m={n_cores}, lane "
+                        f"{lane}): batch (misfit, core_of, loads) {got} "
+                        f"!= scalar {(misfit, want_cores, want_loads)}"
+                    )
         # Response-time identity on the accepted FFD assignments: batch
         # every core (padded to the widest) and compare integers.
         cores = [

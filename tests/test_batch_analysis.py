@@ -19,7 +19,11 @@ differential one:
   to the scalar path with the fallback counted;
 * degenerate shapes (empty population, single lane, mixed trivially-
   convergent and overloaded lanes in one population) keep their shape
-  contracts and verdict agreement.
+  contracts and verdict agreement;
+* the packing pass's placements equal the scalar assignments' where no
+  whole-set screen applies, as with fewer tasks than cores (the
+  ``batch-vs-scalar`` differential pair checks placements, core loads
+  and first misfits on every lane).
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ from repro.experiments.algorithms import (
     accept,
     accept_population,
     accept_populations,
+    build_assignment,
 )
 from repro.model.generator import TaskSetGenerator
 from repro.model.task import Task
@@ -159,7 +164,7 @@ def test_single_config_wrappers_agree_with_multi():
         N_CORES,
         model=model,
         configs=[BATCH_ALGORITHMS[a] for a in sorted(BATCH_ALGORITHMS)],
-    )
+    ).verdict
     for row, algorithm in zip(matrix, sorted(BATCH_ALGORITHMS)):
         placement, admission = BATCH_ALGORITHMS[algorithm]
         single = batch_partition_accept(
@@ -353,11 +358,47 @@ def test_empty_population_shapes():
     assert empty.n_sets == 0
     single = batch_partition_accept(empty, N_CORES)
     assert single.shape == (0,)
-    matrix = batch_partition_accept_multi(
+    packed = batch_partition_accept_multi(
         empty, N_CORES, configs=list(BATCH_ALGORITHMS.values())
     )
-    assert matrix.shape == (len(BATCH_ALGORITHMS), 0)
+    assert packed.verdict.shape == (len(BATCH_ALGORITHMS), 0)
+    assert packed.core_of.shape == (len(BATCH_ALGORITHMS), 0, 5)
+    assert packed.misfit.shape == (len(BATCH_ALGORITHMS), 0)
     assert accept_population("FFD", empty, N_CORES) == []
+
+
+def test_placements_with_fewer_tasks_than_cores():
+    """With n <= m every heuristic accepts, but where each task goes
+    still takes the admission probes (first fit moves on once core 0 is
+    full), so the placements must equal the scalar assignments'."""
+    generator = TaskSetGenerator(
+        n_tasks=3, seed=5, period_min=10 * MS, period_max=100 * MS
+    )
+    tasksets = generator.generate_many(0.6 * N_CORES, 6)
+    population = TaskSetPopulation.from_tasksets(tasksets)
+    names = sorted(BATCH_ALGORITHMS)
+    packed = batch_partition_accept_multi(
+        population,
+        N_CORES,
+        model=MODELS[1],
+        configs=[BATCH_ALGORITHMS[a] for a in names],
+    )
+    assert packed.verdict.all()
+    assert (packed.misfit == -1).all()
+    spread = set()
+    for row, algorithm in enumerate(names):
+        for lane, taskset in enumerate(tasksets):
+            assignment = build_assignment(
+                algorithm, taskset, N_CORES, MODELS[1]
+            )
+            cores = [
+                assignment.core_of(task.name)
+                for task in taskset.sorted_by_priority()
+            ]
+            assert packed.core_of[row, lane].tolist() == cores
+            if len(set(cores)) > 1:
+                spread.add(algorithm)
+    assert {"FFD", "WFD", "BFD", "NFD"} <= spread
 
 
 def test_single_lane_population_matches_scalar():

@@ -214,6 +214,90 @@ class TestCriteriaUnit:
         assert len(calls) == 5
 
 
+    #: Frozen at the commit before the criteria unit moved onto the
+    #: batch packing pass (scalar FFD/WFD/... per set): the payloads of
+    #: this grid, sort-keyed JSON joined by newlines, SHA-256.
+    PINNED_PAYLOADS = (
+        "56af8c7e8bfa7aa97599da2ab1e7d11cc32d8ed2c558908c03dfdbb5b3007f1c"
+    )
+    PIN_ALGORITHMS = ("FP-TS", "FFD", "WFD", "BFD", "NFD", "P-EDF", "G-EDF")
+
+    def _pin_units(self):
+        from repro.model.time import MS
+
+        return [
+            CriteriaUnit(
+                n_cores=4,
+                n_tasks=8,
+                sets_per_point=6,
+                utilization=utilization,
+                seed=seed,
+                algorithms=self.PIN_ALGORITHMS,
+                overheads=overheads,
+                period_max=100 * MS,
+                sim_sets=1,
+            )
+            for overheads in (
+                OverheadModel.zero(),
+                OverheadModel.paper_core_i7(3),
+            )
+            for seed in range(4)
+            for utilization in (0.6, 0.7, 0.8, 0.9, 0.95)
+        ]
+
+    def test_payloads_pinned(self):
+        import hashlib
+
+        blob = "\n".join(
+            json.dumps(execute_unit(unit), sort_keys=True)
+            for unit in self._pin_units()
+        )
+        digest = hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        assert digest == self.PINNED_PAYLOADS
+
+    def test_scalar_partitioners_run_only_for_simulated_sets(
+        self, monkeypatch
+    ):
+        """Packed algorithms take their static axes from the packing
+        pass; the scalar partitioner builds only the assignments the
+        unit simulates (FP-TS's is FFD's wherever FFD accepts)."""
+        import repro.partition.edf as edf_mod
+        import repro.partition.heuristics as heuristics_mod
+        from repro.experiments.algorithms import accept
+        from repro.model.generator import TaskSetGenerator
+
+        packed = ("FFD", "WFD", "BFD", "NFD", "P-EDF")
+        unit = _criteria_unit(
+            ("FP-TS",) + packed, 1, 0.8, OverheadModel.paper_core_i7(3)
+        )
+        tasksets = TaskSetGenerator(n_tasks=10, seed=1).generate_many(
+            0.8 * 4, unit.sets_per_point
+        )
+        built = set()
+        for name in ("FP-TS",) + packed:
+            lanes = [
+                lane for lane, ts in enumerate(tasksets)
+                if accept(name, ts, 4, unit.overheads)
+            ][: unit.sim_sets]
+            source = "FFD" if name == "FP-TS" else name
+            built |= {
+                (source, lane) for lane in lanes
+                if accept(source, tasksets[lane], 4, unit.overheads)
+            }
+        calls = []
+        partition_taskset = heuristics_mod.partition_taskset
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return partition_taskset(*args, **kwargs)
+
+        monkeypatch.setattr(heuristics_mod, "partition_taskset", counting)
+        monkeypatch.setattr(edf_mod, "partition_taskset", counting)
+        payload = execute_unit(unit)
+        assert sum(payload["accepted"][name] for name in packed) > len(built)
+        assert len(calls) == len(built)
+
+
 # ------------------------------------------------------------ determinism
 
 

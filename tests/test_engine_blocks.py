@@ -1,5 +1,5 @@
-"""Grouped in-process execution: a sweep's batch acceptance points share
-one packing pass per block.
+"""Grouped in-process execution: a sweep's batch acceptance and criteria
+points share one packing pass per block.
 
 The engine runs the cache misses of a serial run through
 :func:`repro.engine.units.unit_blocks` /
@@ -20,7 +20,7 @@ import repro.engine.units as units_mod
 import repro.experiments.algorithms as algorithms_mod
 from repro.analysis.batch import BATCH_STATS
 from repro.engine import ExperimentEngine, execute_unit
-from repro.engine.units import execute_units, unit_blocks
+from repro.engine.units import CriteriaUnit, execute_units, unit_blocks
 from repro.experiments.acceptance import AcceptanceConfig, acceptance_units
 from repro.overhead.model import OverheadModel
 
@@ -41,6 +41,20 @@ def _units(seed, algorithms=("FP-TS", "FFD", "WFD"), n_cores=2, n_tasks=6,
             batch=batch,
         )
     )
+
+
+def _criteria_units(seed, algorithms=("FP-TS", "FFD", "WFD"), sets=5):
+    """The criteria units of the points :func:`_units` sweeps."""
+    shared = [
+        field.name for field in dataclasses.fields(CriteriaUnit)
+        if field.name not in ("kind", "sim_sets")
+    ]
+    return [
+        CriteriaUnit(
+            **{name: getattr(unit, name) for name in shared}, sim_sets=1
+        )
+        for unit in _units(seed, algorithms, sets=sets)
+    ]
 
 
 def _grouped(units):
@@ -128,6 +142,57 @@ class TestGroupedEqualsPerUnit:
         assert payloads == [execute_unit(unit) for unit in units]
 
 
+class TestCriteriaBlocks:
+    """Criteria units join the blocks of batch acceptance units with the
+    same key; each payload is built from the unit's own lane slice."""
+
+    def test_criteria_units_share_the_acceptance_key(self, monkeypatch):
+        monkeypatch.setattr(units_mod, "BLOCK_LANES", 1000)
+        criteria = _criteria_units(0)[:2]
+        acceptance = _units(0)[:2]
+        other = _criteria_units(0, algorithms=("FFD",))[:1]
+        mixed = [criteria[0], acceptance[0], other[0], criteria[1],
+                 acceptance[1]]
+        assert unit_blocks(mixed) == [[0, 1, 3, 4], [2]]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize(
+        "algorithms",
+        [("FP-TS", "FFD", "WFD"), ("FP-TS", "BFD", "NFD", "P-EDF", "G-RM"),
+         ("WFD", "PDMS")],
+        ids=["fp", "all-packings-and-global", "with-pdms"],
+    )
+    def test_merged_payloads_match_per_unit(
+        self, seed, algorithms, monkeypatch
+    ):
+        monkeypatch.setattr(units_mod, "BLOCK_LANES", 15)
+        units = _criteria_units(seed, algorithms)
+        assert len(unit_blocks(units)) == 2
+        per_unit = [execute_unit(unit) for unit in units]
+        assert _grouped(units) == per_unit
+        assert ExperimentEngine().run(units) == per_unit
+
+    def test_mixed_block_makes_one_kernel_call(self, monkeypatch):
+        calls = []
+        kernel = algorithms_mod.batch_partition_accept_multi
+
+        def counting(population, *args, **kwargs):
+            calls.append(population.n_sets)
+            return kernel(population, *args, **kwargs)
+
+        units = [
+            unit
+            for pair in zip(_criteria_units(5), _units(5))
+            for unit in pair
+        ]
+        per_unit = [execute_unit(unit) for unit in units]
+        monkeypatch.setattr(
+            algorithms_mod, "batch_partition_accept_multi", counting
+        )
+        assert execute_units(units) == per_unit
+        assert calls == [5 * len(units)]
+
+
 class TestFailuresStayPerUnit:
     def test_one_raising_unit_alone_fails(self, tmp_path, monkeypatch):
         units = _units(3)
@@ -207,3 +272,28 @@ class TestPopulationErrorFallsBackPerUnit:
         before = BATCH_STATS.scalar_fallbacks
         assert execute_units(units) == per_unit
         assert BATCH_STATS.scalar_fallbacks - before == per_unit_fallbacks
+
+    def test_criteria_fallback_builds_scalar_assignments(self, monkeypatch):
+        """A criteria unit whose population the kernel refuses takes
+        every axis from the scalar assignments — the same payload — and
+        a merged block holding it reruns per unit."""
+        units = _criteria_units(4)
+        clean = [execute_unit(unit) for unit in units]
+        refuse = units[1]
+        lane = units_mod._generator(refuse).generate_batch(
+            refuse.utilization * refuse.n_cores, 5
+        ).wcet[0]
+        kernel = algorithms_mod.batch_partition_accept_multi
+
+        def refusing(population, *args, **kwargs):
+            if (population.wcet == lane).all(axis=1).any():
+                raise algorithms_mod.PopulationError("injected")
+            return kernel(population, *args, **kwargs)
+
+        monkeypatch.setattr(
+            algorithms_mod, "batch_partition_accept_multi", refusing
+        )
+        before = BATCH_STATS.scalar_fallbacks
+        assert execute_units(units) == clean
+        # Only the refused unit's 5 lanes went scalar (FP-TS, FFD, WFD).
+        assert BATCH_STATS.scalar_fallbacks - before == 5 * 3
