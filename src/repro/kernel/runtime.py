@@ -128,7 +128,6 @@ class Job:
         "migrate_count",
         "displaced",
         "finish_time",
-        "ready_handle",
     )
 
     def __init__(
@@ -196,7 +195,6 @@ class Job:
         # a preemption and a migration.
         self.displaced = False
         self.finish_time: Optional[int] = None
-        self.ready_handle: object = None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

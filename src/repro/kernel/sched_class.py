@@ -8,8 +8,8 @@ injection, accounting — and delegates every *policy* decision to a
 answers five questions:
 
 * **key_of** — where does this job sort in a ready queue?
-* **enqueue / dequeue / pick_next** — how do jobs enter and leave the
-  per-core ready heaps?
+* **enqueue / pick_next** — how do jobs enter and leave the per-core
+  ready queues?
 * **release_core** — which core's kernel handles a fresh release?
 * **on_budget_exhausted** — what happens when a stage budget runs out?
 
@@ -147,22 +147,13 @@ class SchedulingClass:
 
     def enqueue(self, core, job: Job) -> None:
         """Insert ``job`` into ``core``'s ready queue."""
-        job.ready_handle = core.ready.insert(self.key_of(core, job), job)
-
-    def dequeue(self, core, job: Job) -> None:
-        """Remove a queued (non-running) job from ``core``'s ready queue."""
-        handle = job.ready_handle
-        if handle is not None:
-            core.ready.delete(handle)
-            job.ready_handle = None
+        core.ready.insert(self.key_of(core, job), job)
 
     def pick_next(self, core) -> Optional[Job]:
         """Extract the next job to dispatch on ``core`` (None: idle)."""
         if not core.ready:
             return None
-        _key, job = core.ready.extract_min()
-        job.ready_handle = None
-        return job
+        return core.ready.extract_min()[1]
 
     # -- placement ----------------------------------------------------
 

@@ -3,7 +3,11 @@
 Reproduces, as a discrete-event simulation, the scheduler the paper patched
 into Linux 2.6.32:
 
-* per-core binomial-heap ready queues and red-black-tree sleep queues;
+* per-core binomial-heap ready queues and red-black-tree sleep queues,
+  built when a run measures itself (``profile=True`` or a metrics
+  registry) so that their operations can be timed; every other run keeps
+  only the ready queue's order (a :class:`~repro.structures.lean_heap.
+  LeanHeap`) and no sleep queue, which nothing but that measurement reads;
 * preemptive fixed-local-priority dispatch;
 * split tasks that migrate when their per-core budget is exhausted and
   return to the sleep queue of the core hosting their first subtask;
@@ -70,6 +74,7 @@ from repro.structures.instrumented import (
     InstrumentedTree,
     _StatsCollection,
 )
+from repro.structures.lean_heap import LeanHeap
 from repro.structures.rbtree import RedBlackTree
 
 #: Ready-queue key prefix of a job demoted to background priority: sorts
@@ -217,7 +222,15 @@ class _Op:
 
 
 class _Core:
-    """Mutable per-core scheduler state."""
+    """Mutable per-core scheduler state.
+
+    A run that observes itself (``observed``) keeps the paper's queues:
+    a binomial-heap ready queue and a red-black-tree sleep queue, whose
+    operations it measures.  Every other run keeps only the ready
+    queue's order, in a :class:`LeanHeap`, and no sleep queue at all
+    (``sleep`` is None): nothing reads the sleep queue but the
+    queue-operation measurement.
+    """
 
     __slots__ = (
         "index",
@@ -237,10 +250,10 @@ class _Core:
         "seq",
     )
 
-    def __init__(self, index: int) -> None:
+    def __init__(self, index: int, observed: bool) -> None:
         self.index = index
-        self.ready = BinomialHeap()
-        self.sleep = RedBlackTree()
+        self.ready = BinomialHeap() if observed else LeanHeap()
+        self.sleep = RedBlackTree() if observed else None
         self.running: Optional[Job] = None
         self.dispatched_at = 0
         self.completion_event: Optional[Event] = None
@@ -318,7 +331,10 @@ class KernelSim:
         aggregate per-bucket (count, total ns) into :attr:`profile` — the
         data :func:`repro.overhead.measure.measure_scheduler_functions`
         consumes.  Off by default: the two clock reads per op are pure
-        overhead on the simulation hot path.
+        overhead on the simulation hot path.  A profiled run (like one
+        with ``metrics``) builds the paper's binomial-heap ready queues
+        and red-black-tree sleep queues; any other run keeps only the
+        ready queues' order (see ``_Core``).
     faults:
         Optional :class:`~repro.faults.plan.FaultPlan`: injects execution
         overruns, release jitter, overhead spikes, and dropped/late
@@ -419,7 +435,16 @@ class KernelSim:
         self.duration = duration
         self.record_trace = record_trace
         self.queue = EventQueue()
-        self.cores = [_Core(i) for i in range(assignment.n_cores)]
+        self._metrics = _metrics_active(metrics)
+        # Wall-clock self-profiling runs for an explicit profile=True and
+        # whenever a metrics registry is attached (the registry flush
+        # consumes the same buckets).  Only such a run builds the
+        # modelled queue structures (see ``_Core``).
+        self._profile_enabled = profile or self._metrics is not None
+        self.cores = [
+            _Core(i, self._profile_enabled)
+            for i in range(assignment.n_cores)
+        ]
         self.frequencies = normalize_frequencies(
             frequencies, assignment.n_cores
         )
@@ -435,7 +460,6 @@ class KernelSim:
             self.power.active_mw(f) for f in self.frequencies
         ]
         self._idle_mw = self.power.idle_mw
-        self._metrics = _metrics_active(metrics)
         self.rt_tasks = build_runtime_tasks(assignment, metrics=self._metrics)
         self.offsets = release_offsets or {}
         self.execution_times = execution_times or {}
@@ -593,10 +617,6 @@ class KernelSim:
         self.preemptions = 0
         self.migrations = 0
         self.releases = 0
-        # Wall-clock self-profiling runs for an explicit profile=True and
-        # whenever a metrics registry is attached (the registry flush
-        # consumes the same buckets).
-        self._profile_enabled = profile or self._metrics is not None
         self.profile: Dict[str, Tuple[int, int]] = {}
         # Per-op-kind accumulators (plain dicts on the hot path; flushed
         # into the registry once, after the run).
@@ -638,7 +658,11 @@ class KernelSim:
         self._current_jobs: Dict[str, Optional[Job]] = {
             rt.name: None for rt in self.rt_tasks
         }
-        self._sleep_nodes: Dict[str, object] = {}
+        #: Task name -> its node in the home core's sleep queue; None
+        #: when the run keeps no sleep queue.
+        self._sleep_nodes: Optional[Dict[str, object]] = (
+            {} if self._profile_enabled else None
+        )
         self._job_seq = 0
         self._finished = False
         # The one scheduling-pass op every core queues: it carries no
@@ -806,9 +830,10 @@ class KernelSim:
             self.events_log.append((t, "release", name, rt.home_core))
         # Sleep-queue bookkeeping: the timer removes the task from the home
         # core's sleep queue before release() inserts it into the ready queue.
-        node = self._sleep_nodes.pop(name, None)
-        if node is not None:
-            self.cores[rt.home_core].sleep.remove(node)
+        if self._sleep_nodes is not None:
+            node = self._sleep_nodes.pop(name, None)
+            if node is not None:
+                self.cores[rt.home_core].sleep.remove(node)
         core = task_class.release_core(job, t)
         self._kernel_enqueue(
             core,
@@ -1215,12 +1240,7 @@ class KernelSim:
         self._start_next_op(core, t)
 
     def _do_abort_cleanup(self, core: _Core, job: Job, t: int) -> None:
-        rt = job.rt
-        name = rt.task.name
-        home = self.cores[rt.home_core]
-        self._sleep_nodes[name] = home.sleep.insert(
-            (job.release + rt.task.period, name), rt
-        )
+        self._sleep(job)
         core.needs_sched = True
         core.free_dispatch = True  # context load was part of cnt2
 
@@ -1300,10 +1320,7 @@ class KernelSim:
             self.events_log.append((completed_at, "finish", name, core.index))
         # Back to the sleep queue of the core hosting the first subtask
         # (paper §2, tail subtask rule).
-        home = self.cores[rt.home_core]
-        self._sleep_nodes[name] = home.sleep.insert(
-            (job.release + rt.task.period, name), rt
-        )
+        self._sleep(job)
         core.needs_sched = True
         core.free_dispatch = True  # context load was part of cnt2
 
@@ -1330,11 +1347,7 @@ class KernelSim:
                 )
                 if self.record_trace:
                     self.events_log.append((t, "lost", name, core.index))
-                rt = job.rt
-                home = self.cores[rt.home_core]
-                self._sleep_nodes[name] = home.sleep.insert(
-                    (job.release + rt.task.period, name), rt
-                )
+                self._sleep(job)
                 core.needs_sched = True
                 core.free_dispatch = True  # context load was part of cnt2
                 return
@@ -1381,6 +1394,17 @@ class KernelSim:
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
+
+    def _sleep(self, job: Job) -> None:
+        """Put ``job``'s task into its home core's sleep queue until its
+        next release; a no-op when the run keeps no sleep queue."""
+        if self._sleep_nodes is None:
+            return
+        rt = job.rt
+        name = rt.task.name
+        self._sleep_nodes[name] = self.cores[rt.home_core].sleep.insert(
+            (job.release + rt.task.period, name), rt
+        )
 
     def _key_of(self, core: _Core, job: Job) -> tuple:
         return job.cls.key_of(core, job)

@@ -20,6 +20,7 @@ import repro.overhead.model
 import repro.semipart.cd_split
 import repro.semipart.fpts
 import repro.structures.binomial_heap
+import repro.structures.lean_heap
 import repro.structures.rbtree
 
 MODULES = [
@@ -37,6 +38,7 @@ MODULES = [
     repro.semipart.cd_split,
     repro.semipart.fpts,
     repro.structures.binomial_heap,
+    repro.structures.lean_heap,
     repro.structures.rbtree,
 ]
 

@@ -1,5 +1,6 @@
 """Model-based property tests: the kernel's pointer-based priority
-structures against a trivially correct sorted-list reference.
+structures against a trivially correct sorted-list reference, and the
+lean ready queue of unobserved simulations against the binomial heap.
 
 Each trial interleaves a few hundred random operations, mirroring every
 one on the real structure and on the model, and cross-checks results,
@@ -15,6 +16,7 @@ import random
 import pytest
 
 from repro.structures.binomial_heap import BinomialHeap
+from repro.structures.lean_heap import LeanHeap
 from repro.structures.rbtree import RedBlackTree
 
 N_SEEDS = 20
@@ -137,6 +139,42 @@ def test_rbtree_against_sorted_model(seed):
     while len(tree):
         drained.append(tree.pop_min())
     assert drained == [(k, model[k]) for k in sorted(model)]
+
+
+@pytest.mark.parametrize("seed", range(N_SEEDS))
+def test_lean_heap_matches_binomial_heap(seed):
+    """The simulator's unobserved ready queue against the modelled one:
+    random interleavings of the three operations the simulator uses,
+    with unique ``(rank, seq)`` keys, return identical sequences."""
+    rng = random.Random(3000 + seed)
+    lean = LeanHeap()
+    modelled = BinomialHeap()
+    seq = 0
+    for _step in range(N_OPS):
+        op = rng.random()
+        if op < 0.45 or not modelled:
+            key = (rng.randint(0, 8), seq)
+            seq += 1
+            value = f"job{seq}"
+            lean.insert(key, value)
+            modelled.insert(key, value)
+        elif op < 0.70:
+            assert lean.find_min() == modelled.find_min()
+        else:
+            assert lean.extract_min() == modelled.extract_min()
+        assert len(lean) == len(modelled)
+        assert bool(lean) == bool(modelled)
+    drained = []
+    while lean:
+        drained.append(lean.extract_min())
+    expected = []
+    while modelled:
+        expected.append(modelled.extract_min())
+    assert drained == expected
+    with pytest.raises(IndexError):
+        lean.find_min()
+    with pytest.raises(IndexError):
+        lean.extract_min()
 
 
 def test_rbtree_detached_node_rejected():

@@ -2,10 +2,14 @@
 zero-cost-when-disabled contract.
 
 The last family extends the ``test_empty_plan_identity`` pattern to the
-metrics layer: attaching *no* registry, a **disabled** registry, or an
-**enabled** registry to :class:`KernelSim` must all produce bit-identical
-:class:`SimulationResult` canonical forms under every overrun policy —
-observation never perturbs the observed schedule.
+metrics layer: attaching *no* registry, a **disabled** registry, an
+**enabled** registry, or ``profile=True`` to :class:`KernelSim` must all
+produce bit-identical :class:`SimulationResult` canonical forms under
+every overrun policy and every scheduling class — observation never
+perturbs the observed schedule.  Unobserved runs keep a lean ready
+queue and no sleep queue, observed ones the modelled binomial heap and
+red-black tree, so the same family pins the two queue paths to one
+schedule.
 """
 
 from __future__ import annotations
@@ -17,12 +21,15 @@ import pytest
 from repro.cli import main
 from repro.experiments.algorithms import build_assignment
 from repro.faults.plan import OVERRUN_POLICIES, FaultPlan, TaskFaults
+from repro.kernel.sched_class import SCHED_CLASSES
 from repro.kernel.sim import KernelSim
 from repro.metrics import PROFILE_SCHEMA_VERSION, MetricsRegistry
 from repro.model.task import Task
 from repro.model.taskset import TaskSet
 from repro.model.time import MS
 from repro.overhead.model import OverheadModel
+from repro.structures.binomial_heap import BinomialHeap
+from repro.structures.rbtree import RedBlackTree
 from repro.verify import result_to_canonical
 
 
@@ -240,7 +247,9 @@ class TestSweep:
         assert "reject" in captured.err.lower()
 
 
-def _run_instrumented(metrics, overrun_policy):
+def _run_instrumented(
+    metrics, overrun_policy, sched_class=None, fair=False, profile=False
+):
     taskset = TaskSet(
         [
             Task("a", wcet=2 * MS, period=10 * MS),
@@ -255,6 +264,14 @@ def _run_instrumented(metrics, overrun_policy):
         tasks={"c": TaskFaults(overrun_factor=1.4, overrun_probability=0.5)},
         seed=2,
     )
+    fair_tasks = (
+        [
+            Task("bg0", wcet=2 * MS, period=30 * MS),
+            Task("bg1", wcet=3 * MS, period=50 * MS),
+        ]
+        if fair
+        else None
+    )
     return KernelSim(
         assignment,
         OverheadModel.paper_core_i7(2),
@@ -266,23 +283,76 @@ def _run_instrumented(metrics, overrun_policy):
         faults=plan,
         overrun_policy=overrun_policy,
         metrics=metrics,
+        sched_class=sched_class,
+        fair_tasks=fair_tasks,
+        profile=profile,
     ).run()
 
 
-@pytest.mark.parametrize("overrun_policy", sorted(OVERRUN_POLICIES))
-def test_observation_does_not_perturb_schedule(overrun_policy):
-    """metrics=None, disabled registry, enabled registry: one schedule."""
-    baseline = result_to_canonical(
-        _run_instrumented(None, overrun_policy)
-    )
-    disabled = result_to_canonical(
-        _run_instrumented(MetricsRegistry(enabled=False), overrun_policy)
-    )
-    enabled = result_to_canonical(
-        _run_instrumented(MetricsRegistry(), overrun_policy)
-    )
-    assert baseline == disabled
-    assert baseline == enabled
+def _observation_cases():
+    """(sched_class, fair, overrun_policy) cells: the policy-derived
+    default class (ids are the bare policy names), every registered
+    class, and the default class with fair tasks beside it."""
+    cases = []
+    for policy in sorted(OVERRUN_POLICIES):
+        cases.append(pytest.param(None, False, policy, id=policy))
+        for name in sorted(SCHED_CLASSES):
+            cases.append(
+                pytest.param(name, False, policy, id=f"{name}-{policy}")
+            )
+        cases.append(
+            pytest.param(None, True, policy, id=f"fair-tasks-{policy}")
+        )
+    return cases
+
+
+@pytest.mark.parametrize("sched_class,fair,overrun_policy", _observation_cases())
+def test_observation_does_not_perturb_schedule(sched_class, fair, overrun_policy):
+    """metrics=None, disabled registry, enabled registry, profile=True:
+    one schedule.  The unobserved runs keep only the ready queue's
+    order (a lean heap, no sleep queue); the observed ones run the
+    modelled binomial heap and red-black tree.  The canonical form
+    holds the whole segment trace and event log."""
+
+    def run(metrics, profile=False):
+        return result_to_canonical(
+            _run_instrumented(
+                metrics, overrun_policy, sched_class, fair, profile
+            )
+        )
+
+    baseline = run(None)
+    assert baseline["trace"] and baseline["events"]
+    assert baseline == run(MetricsRegistry(enabled=False))
+    assert baseline == run(MetricsRegistry())
+    assert baseline == run(None, profile=True)
+
+
+def test_unobserved_run_builds_no_modelled_queues(monkeypatch):
+    """A run with no registry and no profiling inserts into neither the
+    binomial heap nor the red-black tree; an observed run uses both."""
+    calls = {"heap": 0, "tree": 0}
+    heap_insert = BinomialHeap.insert
+    tree_insert = RedBlackTree.insert
+
+    def counting_heap_insert(self, *args):
+        calls["heap"] += 1
+        return heap_insert(self, *args)
+
+    def counting_tree_insert(self, *args):
+        calls["tree"] += 1
+        return tree_insert(self, *args)
+
+    monkeypatch.setattr(BinomialHeap, "insert", counting_heap_insert)
+    monkeypatch.setattr(RedBlackTree, "insert", counting_tree_insert)
+    _run_instrumented(None, "run-on")
+    assert calls == {"heap": 0, "tree": 0}
+    _run_instrumented(MetricsRegistry(), "run-on")
+    assert calls["heap"] > 0 and calls["tree"] > 0
+    observed = dict(calls)
+    _run_instrumented(None, "run-on", profile=True)
+    assert calls["heap"] > observed["heap"]
+    assert calls["tree"] > observed["tree"]
 
 
 def test_disabled_registry_records_nothing():
